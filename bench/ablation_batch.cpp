@@ -1,12 +1,10 @@
 // Ablation A10 (DESIGN.md): batched publish in the hybrid structure.
 //
-// PR-1 published by pushing every flushed task into the shard heap —
-// O(log n_pub) per task with the published tier as n_pub.  The batched
-// path extracts the private heap as one ascending run and splices it into
-// the shard as sorted segments (O(log S) per segment, independent of run
-// length and shard size).  cfg.publish_batch caps the segment length and
-// publish_batch <= 1 selects the legacy per-task path, so one knob sweeps
-// the whole axis.
+// A publish extracts the private heap as one ascending run and mails it
+// as sorted segments; the receiving place folds each segment into its
+// store in O(log S), independent of run length and store size.
+// cfg.publish_batch caps the segment length and publish_batch <= 1 mails
+// one-task runs, so one knob sweeps the whole axis.
 //
 // Two panels:
 //   1. publish-side microcosm — one place pushes --churn-ops tasks and
@@ -16,13 +14,8 @@
 //   2. SSSP end-to-end across the same batch sweep (wasted work must not
 //      move: batching changes publish COST, not relaxation semantics).
 //
-// Ablation A20 (PR 10) rides along in two more panels:
-//   3. mailbox vs shard round trip — the same publish flood, A/B'd
-//      between the mailbox inbox path (cfg.mailbox, the default) and the
-//      legacy spinlocked shard (the "hybrid_shard" arm), with the new
-//      counters (inbox_appends / inbox_folds / inbox_full_fallbacks) and
-//      the zero-shard-lock witness printed per row.
-//   4. inbox flood — every producer mails ONE victim ring (the
+// Ablation A20 (PR 10) rides along in a third panel:
+//   3. inbox flood — every producer mails ONE victim ring (the
 //      adversarial case round-robin dispatch avoids): append latency
 //      distribution and the full-ring fallback count as the ring
 //      capacity sweeps.
@@ -46,24 +39,17 @@ struct FloodResult {
   double pop_s = 0;
   double publishes = 0;
   double segment_merges = 0;
-  std::uint64_t inbox_appends = 0;
-  std::uint64_t inbox_folds = 0;
-  std::uint64_t inbox_full_fallbacks = 0;
-  std::uint64_t shard_locks = 0;
 };
 
 // Publish-flood: push `ops` tasks at relaxation window `k` with no
 // consumer, forcing ops/k publishes into an ever-larger published tier,
-// then drain it all.  `mailbox` selects the A20 arm (inbox rings vs the
-// legacy spinlocked shard).
-FloodResult publish_flood(int batch, int k, std::uint64_t ops,
-                          bool mailbox = true) {
+// then drain it all.
+FloodResult publish_flood(int batch, int k, std::uint64_t ops) {
   using ChurnTask = Task<std::uint64_t, double>;
   StorageConfig cfg;
   cfg.k_max = k;
   cfg.default_k = k;
   cfg.publish_batch = batch;
-  cfg.mailbox = mailbox;
   StatsRegistry stats(1);
   HybridKpq<ChurnTask> q(1, cfg, &stats);
   auto& place = q.place(0);
@@ -85,10 +71,6 @@ FloodResult publish_flood(int batch, int k, std::uint64_t ops,
   r.publishes = static_cast<double>(total.get(Counter::publishes));
   r.segment_merges =
       static_cast<double>(total.get(Counter::segment_merges));
-  r.inbox_appends = total.get(Counter::inbox_appends);
-  r.inbox_folds = total.get(Counter::inbox_folds);
-  r.inbox_full_fallbacks = total.get(Counter::inbox_full_fallbacks);
-  r.shard_locks = total.get(Counter::shard_locks);
   if (got != ops) {
     std::fprintf(stderr, "lost tasks: pushed %llu popped %llu\n",
                  static_cast<unsigned long long>(ops),
@@ -244,26 +226,6 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  std::printf("\n## A20 mailbox vs shard round trip (1 place flood)\n");
-  std::printf("mode,batch,push_mops,pop_mops,total_mops,publishes,"
-              "inbox_appends,inbox_folds,inbox_full_fallbacks,"
-              "shard_locks\n");
-  for (const bool mailbox : {true, false}) {
-    for (const int batch : {1, 64, 256}) {
-      const FloodResult r = publish_flood(batch, k, ops, mailbox);
-      const double mops = static_cast<double>(ops) / 1e6;
-      std::printf("%s,%d,%.2f,%.2f,%.2f,%.0f,%llu,%llu,%llu,%llu\n",
-                  mailbox ? "mailbox" : "shard", batch, mops / r.push_s,
-                  mops / r.pop_s, 2 * mops / (r.push_s + r.pop_s),
-                  r.publishes,
-                  static_cast<unsigned long long>(r.inbox_appends),
-                  static_cast<unsigned long long>(r.inbox_folds),
-                  static_cast<unsigned long long>(r.inbox_full_fallbacks),
-                  static_cast<unsigned long long>(r.shard_locks));
-      std::fflush(stdout);
-    }
-  }
-
   std::printf("\n## A20 inbox flood (all producers -> one victim ring)\n");
   const std::uint64_t flood_runs = std::max<std::uint64_t>(ops / 256, 1000);
   std::printf("# producers=%llu runs_per_producer=%llu run_len=64\n",
@@ -283,17 +245,14 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n# expectation: the published-tier round trip (total_mops) "
-              "and SSSP time improve from batch=1 to batch>=64 — per-task "
-              "pushes are cheap to INGEST (random-key heap push is ~O(1) "
-              "amortized) but expensive to DRAIN (O(log n) sift-downs over "
-              "a huge heap array), while sorted segments stream "
-              "sequentially; SSSP relaxation quality is batch-independent "
-              "in expectation (the knob moves publish cost, not semantics "
-              "— on a 1-core box the P>1 columns carry scheduling "
-              "noise)\n");
-  std::printf("# A20 expectation: mailbox rows show shard_locks=0 "
-              "(acceptance witness) at round-trip throughput >= the "
-              "shard arm's from batch>=64; the inbox flood's append "
+              "and SSSP time improve from batch=1 to batch>=64 — batch=1 "
+              "mails one-task runs, so every task pays its own inbox "
+              "append, fold-side segment and head-index push/pop, while "
+              "longer sorted segments amortize those per-run costs and "
+              "stream sequentially; SSSP relaxation quality is "
+              "batch-independent in expectation (the knob moves publish "
+              "cost, not semantics)\n");
+  std::printf("# A20 expectation: the inbox flood's append "
               "latency stays flat as slots grow while fallbacks drop — "
               "full rings degrade into accounted self-folds, never "
               "stalls\n");

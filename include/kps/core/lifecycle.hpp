@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -125,12 +126,14 @@ namespace detail {
 inline constexpr std::uint64_t kLcFree = 0;       // on the free list
 inline constexpr std::uint64_t kLcLive = 1;       // resident, claimable
 inline constexpr std::uint64_t kLcCancelled = 2;  // tombstone, awaiting reap
+inline constexpr std::uint64_t kLcDetaching = 3;  // tombstone, task being copied
 inline constexpr std::uint64_t kLcStateMask = 3;
 
 /// One pooled control block.  Cache-line sized so a cancel's CAS never
 /// false-shares with a neighbouring block's claim.  `task` is the copy
 /// reprioritize re-pushes (written only before the live-publishing
-/// store, read only after a successful detach CAS).
+/// store, read only between a successful detach CAS and detach's
+/// release of the kLcDetaching state, which the reaper waits out).
 template <typename TaskT>
 struct alignas(kCacheLine) LifecycleNode {
   std::atomic<std::uint64_t> word{0};
@@ -226,9 +229,11 @@ class LifecycleLedger {
   }
 
   /// Reprioritize's first half: tombstone the live residency AND take
-  /// the task copy for the re-push.  The copy is read only after the
-  /// winning CAS, and the block cannot be recycled until its entry is
-  /// reaped, so the read is race-free.
+  /// the task copy for the re-push.  The winning CAS moves the block to
+  /// kLcDetaching, the copy is read, and only then does the release
+  /// store make it an ordinary tombstone: the entry's owner may reach
+  /// the reap the instant the CAS lands, so claim() waits out the
+  /// detaching state before recycling the block to a racing wrap().
   std::optional<TaskT> detach(TaskHandle h) {
     if (!enabled_ || !h.valid()) return std::nullopt;
     if (KPS_FAILPOINT_FAIL("lifecycle.cancel")) return std::nullopt;
@@ -237,12 +242,14 @@ class LifecycleLedger {
     // order: relaxed (failure) — a lost detach reads nothing; success is
     // acq_rel so the winner's read of n->task sees wrap()'s copy.
     if (!n->word.compare_exchange_strong(expected,
-                                         (h.gen << 2) | kLcCancelled,
+                                         (h.gen << 2) | kLcDetaching,
                                          std::memory_order_acq_rel,
                                          std::memory_order_relaxed)) {
       return std::nullopt;
     }
-    return n->task;
+    std::optional<TaskT> task = n->task;
+    n->word.store((h.gen << 2) | kLcCancelled, std::memory_order_release);
+    return task;
   }
 
   /// Pop-side gate, called by the entry's exclusive owner.  True: the
@@ -264,7 +271,12 @@ class LifecycleLedger {
       }
     }
     // Tombstone: the canceller already accounted for the task's exit;
-    // this owner just frees the residency.
+    // this owner just frees the residency — once a detach still copying
+    // the task out has released the block (acquire pairs with detach).
+    while ((w & kLcStateMask) == kLcDetaching) {
+      std::this_thread::yield();
+      w = n->word.load(std::memory_order_acquire);
+    }
     KPS_FAILPOINT("lifecycle.reap");
     n->word.store((w >> 2 << 2) | kLcFree, std::memory_order_release);
     recycle(n);

@@ -1,10 +1,13 @@
 // Bounded MPSC ring — the mailbox primitive under the hybrid's per-place
-// inbox delegation (PR 10, ROADMAP item 3).
+// inbox delegation (PR 10).
 //
 // Multiple producers append batch descriptors (for the hybrid: one
-// pre-sorted run per slot), a single consumer — the owning place — folds
-// them.  The shape is the classic bounded sequence-number ring restricted
-// to one consumer:
+// pre-sorted run per slot); one consumer at a time folds them.  The ring
+// itself does not pick that consumer: callers serialize the consume side
+// externally (the hybrid's consumer is whoever holds the owning place's
+// private_lock — the owner at pop time, or a spy that won the lock).  The
+// shape is the classic bounded sequence-number ring restricted to one
+// consumer:
 //
 //   reserve — a producer claims slot `pos` by CASing the head cursor
 //             forward, but only after the slot's sequence number says the
@@ -13,7 +16,7 @@
 //   commit  — the producer move-assigns the payload and release-stores
 //             seq = pos + 1.  That store is the publication point: the
 //             consumer's acquire load of seq orders the payload read.
-//   consume — the single consumer reads seq == pos + 1, moves the payload
+//   consume — the (serialized) consumer reads seq == pos + 1, moves the payload
 //             out, and release-stores seq = pos + capacity, freeing the
 //             slot for the next lap.
 //
@@ -106,11 +109,13 @@ class MpscRing {
     }
   }
 
-  /// Single-consumer take.  False = no committed entry at the tail (an
-  /// entry mid-commit by a reserved-but-unfinished producer reads as
-  /// empty until its release store lands — it is not yet published).
+  /// Single-consumer take; callers serialize consumers externally.
+  /// False = no committed entry at the tail (an entry mid-commit by a
+  /// reserved-but-unfinished producer reads as empty until its release
+  /// store lands — it is not yet published).
   bool try_pop(T& out) {
-    // order: relaxed — tail is consumer-owned; only this thread moves it.
+    // order: relaxed — tail is consumer-owned; the external consumer
+    // serialization (a lock) orders successive consumers' accesses.
     const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
     Slot& s = slots_[pos & mask_];
     const std::uint64_t seq = s.seq.load(std::memory_order_acquire);
@@ -121,19 +126,21 @@ class MpscRing {
     out = std::move(s.val);
     // Free the slot for the next lap (pairs with try_push's acquire).
     s.seq.store(pos + cap_, std::memory_order_release);
-    // order: relaxed — consumer-owned cursor; approx_size readers accept
-    // staleness by contract.
+    // order: relaxed — consumer-owned cursor; the next consumer reads it
+    // under the caller's lock, approx_size readers accept staleness.
     tail_.store(pos + 1, std::memory_order_relaxed);
     return true;
   }
 
-  /// Consumer-side cheap peek: one acquire load of the tail slot's
-  /// sequence word.  True may race a concurrent consume only from the
-  /// consumer itself (single-consumer contract), so a true here means
-  /// try_pop will succeed; false may miss an entry mid-commit (callers
-  /// treat it as a hint to skip the fold pass).
+  /// Cheap peek: one acquire load of the tail slot's sequence word.
+  /// Under the consumer serialization a true here means try_pop will
+  /// succeed.  Called WITHOUT it (the hybrid's pre-lock check) it is only
+  /// a hint: another consumer may drain the entry in between, so the
+  /// caller must tolerate try_pop then failing; false may also miss an
+  /// entry mid-commit (callers treat it as a reason to skip the fold).
   bool maybe_nonempty() const {
-    // order: relaxed — consumer-owned cursor, see try_pop.
+    // order: relaxed — cursor snapshot; a stale tail only mis-hints,
+    // and the slot seq acquire decides what try_pop can see.
     const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
     return slots_[pos & mask_].seq.load(std::memory_order_acquire) == pos + 1;
   }

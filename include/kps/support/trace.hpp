@@ -43,13 +43,13 @@ enum class TraceEv : std::uint16_t {
   pop,         // task claimed out of a storage (advances the pop clock)
   publish,     // hybrid: private->published flush (arg = tasks moved)
   steal,       // work-stealing: tasks migrated (arg = count)
-  spy,         // hybrid: claim from a foreign private queue (arg = victim)
+  spy,         // hybrid: claim from a foreign place's store (arg = victim)
   shed,        // capacity: task left unexecuted (arg = kShed* code)
   cancel,      // lifecycle: residency tombstoned (arg = kCancel* code)
   timer_fire,  // timer wheel: deadline actions delivered (arg = count)
   stall,       // watchdog via telemetry: place stalled (arg = streak)
   inbox_append,  // hybrid mailbox: run committed to an inbox (arg = target)
-  inbox_fold,    // hybrid mailbox: owner fold pass (arg = runs folded)
+  inbox_fold,    // hybrid mailbox: fold pass by owner or spy (arg = runs)
   inbox_full,    // hybrid mailbox: append refused, self-fold (arg = target)
   kCount
 };
@@ -70,7 +70,7 @@ inline constexpr const char* kTraceEvNames[kNumTraceEvs] = {
     "timer.fire",            // runner wheel advance delivered actions
     "watchdog.stall",        // sampling thread flagged a stalled place
     "hybrid.inbox.append",   // mailbox run committed (emitter = publisher)
-    "hybrid.inbox.fold",     // mailbox fold pass (emitter = owner)
+    "hybrid.inbox.fold",     // mailbox fold pass (emitter = owner or spy)
     "hybrid.inbox.full",     // full-ring fallback (emitter = publisher)
 };
 

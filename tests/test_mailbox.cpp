@@ -1,5 +1,5 @@
-// Tier-1: the PR-10 mailbox publish path — per-place MPSC inbox rings
-// replacing the spinlocked shared shards in the hybrid.
+// Tier-1: the hybrid's mailbox publish path — per-place MPSC inbox rings
+// carrying pre-sorted runs into each place's folded segment store.
 //
 //   * MpscRing unit semantics: FIFO reserve/commit, wraparound across
 //     many laps, capacity rounding, full-ring refusal that leaves the
@@ -7,11 +7,7 @@
 //   * MpscRing concurrency: P producers blast one consumer's ring with
 //     the full-ring fallback live; every value arrives exactly once
 //     (the CI tsan job runs this under TSan).
-//   * Zero shard locks: every mailbox-mode path — push, publish, pop,
-//     spy, shed, drain — leaves Counter::shard_locks at 0, on workloads
-//     and on churn; the legacy "hybrid_shard" registry arm on the same
-//     workload proves the witness counter actually fires.
-//   * Mailbox fold unit (the spill-unit analog): P = 1 self-mailing at
+//   * Mailbox fold unit (the segment-store spill unit): P = 1 self-mailing at
 //     publish_batch = 2 / max_segments = 4 must merge + spill through
 //     the owner-folded store and still pop in exact global order.
 //   * Full-ring accounting: a 2-slot inbox under a one-sided flood must
@@ -27,6 +23,9 @@
 //   * Lifecycle in transit: cancel and reprioritize land on tasks whose
 //     segment is still UNFOLDED in a peer's inbox ring — the tombstone
 //     rides the mail and is reaped at the fold-side claim point.
+//   * Stranded mail (liveness): a peer that never pops must not strand
+//     the runs mailed to it — a spy folds the victim's inbox and claims;
+//     sequential, and with the silent peer on a stalled thread.
 //   * Config: inbox_slots < 1 is rejected by StorageConfig::validate().
 #include <algorithm>
 #include <atomic>
@@ -186,11 +185,11 @@ void drain_all(Storage& storage, std::vector<std::uint32_t>& out) {
 }
 
 // ------------------------------------------------- mailbox fold unit
-// P = 1: every publish mails to self, every pop folds.  Same adversarial
-// decreasing-priority stream as the legacy spill unit — the owner-folded
-// store must merge segments, spill into the cold heap, and still hand
-// the 128 tasks back in exact ascending order (single place: the fold
-// happens before any claim, so pop always takes the true minimum).
+// P = 1: every publish mails to self, every pop folds.  An adversarial
+// decreasing-priority stream — the folded segment store must merge
+// segments, spill into the cold heap, and still hand the 128 tasks back
+// in exact ascending order (single place: the fold happens before any
+// claim, so pop always takes the true minimum).
 
 void test_mailbox_fold_unit() {
   StorageConfig cfg;
@@ -199,7 +198,6 @@ void test_mailbox_fold_unit() {
   cfg.publish_batch = 2;
   cfg.max_segments = 4;
   cfg.inbox_slots = 64;
-  assert(cfg.mailbox);  // the default — this suite exists to test it
   StatsRegistry stats(1);
   HybridKpq<SsspTask> storage(1, cfg, &stats);
   auto& place = storage.place(0);
@@ -226,9 +224,8 @@ void test_mailbox_fold_unit() {
   assert(fin.get(Counter::inbox_folds) >= 1);
   assert(fin.get(Counter::segment_merges) >= 1);
   assert(fin.get(Counter::segment_spills) >= 1);
-  assert(fin.get(Counter::shard_locks) == 0);  // the PR's whole point
   std::printf("  mailbox fold unit: %llu folds, %llu spills, order + "
-              "conservation OK, 0 shard locks\n",
+              "conservation OK\n",
               static_cast<unsigned long long>(
                   fin.get(Counter::inbox_folds)),
               static_cast<unsigned long long>(
@@ -265,7 +262,6 @@ void test_full_ring_fallback() {
   assert(drained.size() == kTasks);
   std::sort(drained.begin(), drained.end());
   for (std::uint32_t i = 0; i < kTasks; ++i) assert(drained[i] == i);
-  assert(stats.total().get(Counter::shard_locks) == 0);
   std::printf("  full-ring fallback: %llu appends, %llu fallbacks, "
               "conservation OK\n",
               static_cast<unsigned long long>(
@@ -331,7 +327,6 @@ void churn_one(std::size_t P, int inbox_slots, bool arm_seams) {
   std::sort(out.begin(), out.end());
   assert(in == out && "mailbox churn lost or duplicated a task");
   const PlaceStats totals = stats.total();
-  assert(totals.get(Counter::shard_locks) == 0);
   assert(totals.get(Counter::inbox_appends) +
              totals.get(Counter::inbox_full_fallbacks) >= 1);
 }
@@ -371,7 +366,6 @@ void test_oracles() {
       const SsspResult r = parallel_sssp(g, 0, storage, 16, &stats);
       assert(r.dist == truth);
       const PlaceStats totals = stats.total();
-      assert(totals.get(Counter::shard_locks) == 0);
       // The round trip is genuinely mailed: publishes happened and each
       // ended in an inbox commit or an accounted fallback.
       assert(totals.get(Counter::publishes) >= 1);
@@ -391,22 +385,9 @@ void test_oracles() {
       auto des_storage = make_storage<DesTask>("hybrid", P, cfg, &des_stats);
       const DesRun run = des_parallel(params, des_storage, 16, &des_stats);
       assert(run.outcome == des_oracle);
-      assert(des_stats.total().get(Counter::shard_locks) == 0);
     }
   }
-
-  // The legacy arm on the same workload proves the witness counter is
-  // live: "hybrid_shard" must acquire shard locks (and never mail).
-  StatsRegistry legacy_stats(4);
-  auto legacy = build("hybrid_shard", 4, 16, 11, legacy_stats);
-  const SsspResult r = parallel_sssp(g, 0, legacy, 16, &legacy_stats);
-  assert(r.dist == truth);
-  assert(legacy_stats.total().get(Counter::shard_locks) >= 1);
-  assert(legacy_stats.total().get(Counter::inbox_appends) == 0);
-  std::printf("  oracle-exact SSSP + DES at P in {1,4,8}, 0 shard locks "
-              "(legacy arm: %llu)\n",
-              static_cast<unsigned long long>(
-                  legacy_stats.total().get(Counter::shard_locks)));
+  std::printf("  oracle-exact SSSP + DES at P in {1,4,8}\n");
 }
 
 // -------------------------------------------- lifecycle in transit
@@ -472,12 +453,96 @@ void test_lifecycle_in_transit() {
   assert(totals.get(Counter::inbox_folds) >= 1);
   assert(totals.get(Counter::tasks_cancelled) == 2);  // cancel + re-key
   assert(totals.get(Counter::tombstones_reaped) == 2);
-  assert(totals.get(Counter::shard_locks) == 0);
   // Ledger balance: 5 spawns (4 + re-push) = 3 executed + 2 cancelled.
   assert(totals.get(Counter::tasks_spawned) == 5);
   assert(totals.get(Counter::tasks_executed) == 3);
   std::printf("  lifecycle in transit: cancel + re-key reaped through "
               "the mail, ledger exact\n");
+}
+
+// ---------------------------------------------------- stranded mail
+// Every publish of place 0 mails to place 1 (its only peer), and place 1
+// never pops.  Its inbox is then the only home of place 0's tasks: a spy
+// must fold the victim's mail itself, or those tasks wait forever on a
+// place that never comes back.
+
+void test_stranded_mail_sequential() {
+  StorageConfig cfg;
+  cfg.k_max = 4;
+  cfg.default_k = 4;
+  StatsRegistry stats(2);
+  HybridKpq<SsspTask> storage(2, cfg, &stats);
+  auto& p0 = storage.place(0);
+
+  const std::uint32_t kTasks = 100;
+  for (std::uint32_t i = 0; i < kTasks; ++i) {
+    kps::push(storage, p0, 4, {static_cast<double>(i), i});
+  }
+  std::vector<std::uint32_t> got;
+  while (auto t = storage.pop(p0)) got.push_back(t->payload);
+  std::printf("  stranded mail (sequential): place 0 drained %zu of %u\n",
+              got.size(), kTasks);
+  assert(got.size() == kTasks && "mail stranded in a non-popping inbox");
+  std::sort(got.begin(), got.end());
+  for (std::uint32_t i = 0; i < kTasks; ++i) assert(got[i] == i);
+  // The spy did the folding, so the fold is credited to place 0.
+  assert(stats.snapshot(0).get(Counter::inbox_folds) >= 1);
+  assert(stats.snapshot(1).get(Counter::inbox_folds) == 0);
+}
+
+// Concurrent variant: place 1 runs on its own thread, pushes (mailing
+// to place 0 and keeping a private remainder), then stalls without ever
+// popping while place 0 pushes, pops and must drain everything.
+
+void test_stranded_mail_concurrent() {
+  StorageConfig cfg;
+  cfg.k_max = 4;
+  cfg.default_k = 4;
+  StatsRegistry stats(2);
+  HybridKpq<SsspTask> storage(2, cfg, &stats);
+
+  const std::uint32_t kOwn = 100;
+  const std::uint32_t kStalled = 50;
+  std::atomic<bool> pushed{false};
+  std::atomic<bool> release{false};
+  std::thread stalled([&] {
+    auto& p1 = storage.place(1);
+    for (std::uint32_t i = 0; i < kStalled; ++i) {
+      kps::push(storage, p1, 4, {static_cast<double>(i) + 0.5, kOwn + i});
+    }
+    pushed.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+
+  auto& p0 = storage.place(0);
+  std::vector<std::uint32_t> got;
+  for (std::uint32_t i = 0; i < kOwn; ++i) {
+    kps::push(storage, p0, 4, {static_cast<double>(i), i});
+    if (i % 3 == 0) {
+      if (auto t = storage.pop(p0)) got.push_back(t->payload);
+    }
+  }
+  std::uint64_t dry_after_push = 0;
+  while (got.size() < kOwn + kStalled && dry_after_push < 100000) {
+    const bool done_pushing = pushed.load(std::memory_order_acquire);
+    if (auto t = storage.pop(p0)) {
+      got.push_back(t->payload);
+    } else if (done_pushing) {
+      ++dry_after_push;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  release.store(true, std::memory_order_release);
+  stalled.join();
+  assert(got.size() == kOwn + kStalled &&
+         "a stalled place stranded mailed or private tasks");
+  std::sort(got.begin(), got.end());
+  for (std::uint32_t i = 0; i < kOwn + kStalled; ++i) assert(got[i] == i);
+  std::printf("  stranded mail (stalled place 1): place 0 drained all %u\n",
+              kOwn + kStalled);
 }
 
 // ------------------------------------------------------------- config
@@ -494,17 +559,7 @@ void test_config_validation() {
     threw = true;
   }
   assert(threw && "inbox_slots = 0 must be rejected");
-  // The legacy arm ignores the mailbox entirely but still validates.
-  threw = false;
-  try {
-    StatsRegistry stats(1);
-    auto s = make_storage<SsspTask>("hybrid_shard", 1, bad, &stats);
-    (void)s;
-  } catch (const std::invalid_argument&) {
-    threw = true;
-  }
-  assert(threw);
-  std::printf("  config: inbox_slots < 1 rejected on both arms\n");
+  std::printf("  config: inbox_slots < 1 rejected\n");
 }
 
 }  // namespace
@@ -516,6 +571,8 @@ int main() {
   test_full_ring_fallback();
   test_config_validation();
   test_lifecycle_in_transit();
+  test_stranded_mail_sequential();
+  test_stranded_mail_concurrent();
   test_oracles();
   test_churn_conserves();
   std::printf("test_mailbox: OK\n");
