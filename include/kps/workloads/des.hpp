@@ -52,6 +52,17 @@
 // inherits the scan's approximation contract: chain times are monotone,
 // so a recompute-from-observed heal can only under-estimate — the root
 // is a true lower bound on live virtual time at every sample.
+//
+// Tallies: the commutative outcome (events, checksum, station counts)
+// and the probe counters (deferred, inversions, floor_checks,
+// floor_loads) are per place — one cache-line-aligned tally per worker,
+// plain increments, summed after the join — so the per-event path
+// writes no shared counter line.  Sums commute, so the outcome is the
+// same as with shared counters.  The committed high-water mark
+// (`committed_high`) stays one shared CAS-max on purpose: the A11
+// inversion probe counts commits behind the *runner-wide* committed
+// frontier, and a per-place mark would only see inversions within one
+// place's own commit stream.
 #pragma once
 
 #include <algorithm>
@@ -244,14 +255,20 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   }
   RunnerTimerWheel<Storage> wheel;
 
-  std::vector<std::atomic<std::uint64_t>> counts(
-      std::max<std::uint32_t>(p.stations, 1));
-  // order: relaxed — single-threaded init before workers start.
-  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> checksum{0};
-  std::atomic<std::uint64_t> events{0};
-  std::atomic<std::uint64_t> deferred{0};
-  std::atomic<std::uint64_t> inversions{0};
+  const std::size_t stations = std::max<std::uint32_t>(p.stations, 1);
+  // Per-place tallies (header comment): written only by their own
+  // worker, summed after run_relaxed joins.
+  struct alignas(kCacheLine) Tally {
+    std::uint64_t events = 0;
+    std::uint64_t checksum = 0;  // commutative sum mod 2^64
+    std::uint64_t deferred = 0;
+    std::uint64_t inversions = 0;
+    std::uint64_t floor_checks = 0;
+    std::uint64_t floor_loads = 0;
+    std::vector<std::uint64_t> station_counts;
+  };
+  std::vector<Tally> tallies(storage.places());
+  for (Tally& tally : tallies) tally.station_counts.assign(stations, 0);
   std::atomic<double> committed_high{-kInf};
 
   // chain_time[c] = timestamp of chain c's single live event (+inf once
@@ -267,8 +284,6 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
       p.hierarchical_floor && p.window >= 0 && p.chains > 0;
   std::optional<MinIndex> floor_index;
   if (hier_floor) floor_index.emplace((p.chains + 63) / 64);
-  std::atomic<std::uint64_t> floor_checks{0};
-  std::atomic<std::uint64_t> floor_loads{0};
   for (std::uint32_t c = 0; c < p.chains; ++c) {
     const double t0 = des_initial_time(p, c);
     chain_time[c].store(t0, std::memory_order_relaxed);  // order: relaxed — init
@@ -312,26 +327,26 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
                     const DesTask& task) -> bool {
     const DesEvent ev = task.payload;
     const double t = task.priority;
+    Tally& tally = tallies[handle.place_index()];
 
     if (p.window >= 0 && ev.defers < p.max_defer) {
       double floor = kInf;
       if (hier_floor) {
         floor = floor_index->root();
-        floor_loads.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
+        ++tally.floor_loads;
       } else {
         for (const auto& ct : chain_time) {
           // order: relaxed — same monotone under-estimate as block_floor.
           const double v = ct.load(std::memory_order_relaxed);
           if (v < floor) floor = v;
         }
-        floor_loads.fetch_add(chain_time.size(),
-                              std::memory_order_relaxed);  // order: relaxed — counter
+        tally.floor_loads += chain_time.size();
       }
-      floor_checks.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
+      ++tally.floor_checks;
       if (t > floor + p.window) {
         // Causality-window violation: lazy re-enqueue, same timestamp,
         // one more defer spent.
-        deferred.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
+        ++tally.deferred;
         spawn_event(handle, {t, {ev.chain, ev.step, ev.defers + 1}});
         return false;
       }
@@ -345,7 +360,7 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     // exactly the approximate-order statistic being measured.
     double hw = committed_high.load(std::memory_order_relaxed);
     if (t < hw) {
-      inversions.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
+      ++tally.inversions;
     } else {
       // order: relaxed — CAS-max on the measurement cell; see above.
       while (t > hw && !committed_high.compare_exchange_weak(
@@ -354,10 +369,9 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     }
 
     const DesTransition tr = des_transition(p, ev.chain, ev.step, t);
-    counts[tr.station].fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
-    checksum.fetch_add(detail::des_fingerprint(ev.chain, ev.step, t),
-                       std::memory_order_relaxed);  // order: relaxed — commutative sum
-    events.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
+    ++tally.station_counts[tr.station];
+    tally.checksum += detail::des_fingerprint(ev.chain, ev.step, t);
+    ++tally.events;
     // Spawn BEFORE raising chain_time (ordering invariant, header
     // comment): a raised entry must never describe an event nobody can
     // pop yet.  store_max, not store — the successor's worker may have
@@ -370,9 +384,8 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     }
     if (hier_floor) {
       const std::size_t b = ev.chain / 64;
-      std::uint64_t loads = 0;
-      floor_index->heal_block(b, [&] { return block_floor(b, &loads); });
-      floor_loads.fetch_add(loads, std::memory_order_relaxed);  // order: relaxed — counter
+      floor_index->heal_block(
+          b, [&] { return block_floor(b, &tally.floor_loads); });
     }
     return true;
   };
@@ -381,17 +394,17 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   run.runner = run_relaxed(storage, k_policy, seeds, expand, stats,
                            std::forward<PopHook>(hook),
                            expiry ? &wheel : nullptr);
-  // order: relaxed (result reads) — at quiescence, workers joined.
-  run.deferred = deferred.load(std::memory_order_relaxed);
-  run.inversions = inversions.load(std::memory_order_relaxed);  // order: relaxed — see above
-  run.floor_checks = floor_checks.load(std::memory_order_relaxed);  // order: relaxed — see above
-  run.floor_loads = floor_loads.load(std::memory_order_relaxed);  // order: relaxed — see above
-  run.outcome.events = events.load(std::memory_order_relaxed);  // order: relaxed — see above
-  run.outcome.checksum = checksum.load(std::memory_order_relaxed);  // order: relaxed — see above
-  run.outcome.station_counts.resize(counts.size());
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    run.outcome.station_counts[s] =
-        counts[s].load(std::memory_order_relaxed);  // order: relaxed — quiescent
+  run.outcome.station_counts.assign(stations, 0);
+  for (const Tally& tally : tallies) {
+    run.deferred += tally.deferred;
+    run.inversions += tally.inversions;
+    run.floor_checks += tally.floor_checks;
+    run.floor_loads += tally.floor_loads;
+    run.outcome.events += tally.events;
+    run.outcome.checksum += tally.checksum;
+    for (std::size_t s = 0; s < stations; ++s) {
+      run.outcome.station_counts[s] += tally.station_counts[s];
+    }
   }
   return run;
 }

@@ -8,20 +8,33 @@
 //     task may be useful (expanded) or useless (stale / pruned /
 //     deferred), and executing useless tasks costs only wasted work,
 //     never correctness;
-//   * termination is owned here, by a pending-task counter (tasks in the
-//     storage plus tasks being processed).  A worker's decrement happens
-//     only after expand() returned — i.e. after every child was spawned —
-//     so the counter can never transiently hit zero while work is still
-//     reachable, and storage pop() is therefore allowed to be weakly
-//     complete (transient nullopt while another place holds tasks).
+//   * termination is owned here, by a shared pending counter and a
+//     per-worker non-negative *slack*.  Invariant:
+//
+//         pending == outstanding + Σ slack  >=  outstanding
+//
+//     where outstanding counts tasks in the storage plus tasks being
+//     processed.  A finished task's unit becomes its worker's slack (no
+//     shared RMW); a spawn spends slack before it increments pending; a
+//     task that leaves the system unexecuted (rejected, shed, cancelled)
+//     also becomes slack.  A worker returns its slack with one
+//     fetch_sub only after an empty pop, right before it reads pending
+//     for termination.  So pending == 0 still means nothing is left —
+//     it can never transiently hit zero while work is reachable — and
+//     storage pop() may stay weakly complete (transient nullopt while
+//     another place holds tasks).  A workload that spawns about one
+//     child per task (DES) thus touches pending only when a worker runs
+//     dry; one that fans out still increments it per extra child, but
+//     no task decrements it on completion.
 //
 // expand(handle, task) -> bool runs concurrently on every place; `true`
 // means the pop did useful work, `false` means it was wasted (the runner
 // keeps per-place tallies of both — the relaxation-quality panels).  New
-// tasks are spawned through handle.spawn(task), which bumps the pending
-// counter before pushing.  An optional pop hook observes every claimed
-// task before expansion (rank-error / timestamp-inversion probes) without
-// the workloads having to thread measurement through their expand logic.
+// tasks are spawned through handle.spawn(task), which accounts the child
+// (slack or pending) before pushing.  An optional pop hook observes
+// every claimed task before expansion (rank-error / timestamp-inversion
+// probes) without the workloads having to thread measurement through
+// their expand logic.
 //
 // Since PR 4 the relaxation window is a pluggable policy
 // (core/relaxation_policy.hpp): the runner feeds every pop's outcome to
@@ -105,9 +118,11 @@ struct RunnerObs {
 };
 
 /// Per-worker view handed to expand(): the only way a workload spawns
-/// child tasks, so the pending-counter protocol cannot be bypassed.  The
+/// child tasks, so the termination protocol cannot be bypassed.  The
 /// window is read through a reference the runner updates after every
-/// policy decision — spawns always use the place's current window.
+/// policy decision — spawns always use the place's current window.  The
+/// slack is the worker's own (see the header comment); every unit that
+/// enters or leaves the system through this handle is accounted there.
 template <typename Storage>
 class RunnerHandle {
  public:
@@ -117,69 +132,66 @@ class RunnerHandle {
 
   RunnerHandle(Storage& storage, typename Storage::Place& place,
                const int& k, std::atomic<std::int64_t>& pending,
-               wheel_type* wheel = nullptr,
+               std::int64_t& slack, wheel_type* wheel = nullptr,
                std::atomic<std::uint64_t>* ticks = nullptr)
       : storage_(&storage),
         place_(&place),
         k_(&k),
         pending_(&pending),
+        slack_(&slack),
         wheel_(wheel),
         ticks_(ticks) {}
 
   std::size_t place_index() const { return place_->index; }
 
-  /// Publish a child task.  The pending increment precedes the push: a
-  /// sibling popping the child immediately still sees pending > 0.
+  /// Publish a child task.
+  void spawn(task_type task) { (void)spawn_tracked(std::move(task)); }
+
+  /// spawn() that returns the child's lifecycle handle (invalid when the
+  /// child itself was rejected/shed, or lifecycle is off).  A valid
+  /// handle means the child resides in the storage.
+  ///
+  /// The child's unit is accounted before the push — from slack if the
+  /// worker holds any, else by incrementing pending — so a sibling
+  /// popping the child immediately still sees pending > 0.
   ///
   /// Backpressure contract: a bounded-capacity storage may reject the
   /// child or shed a task (the child itself, or a worse resident it
   /// displaced).  Either way exactly one task left the system without
-  /// being executed, so the optimistic increment is paid back here —
-  /// acq_rel, like the worker's post-expand decrement, because this
-  /// decrement too may be the one that releases a terminating peer.
-  void spawn(task_type task) {
-    // order: relaxed — optimistic increment; only the DECREMENT side can
-    // release a terminating peer, so only it needs acq_rel.
-    pending_->fetch_add(1, std::memory_order_relaxed);
-    const auto out = storage_->try_push(*place_, *k_, std::move(task));
-    if (!out.accepted || out.shed.has_value()) {
-      pending_->fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-
-  /// spawn() that returns the child's lifecycle handle (invalid when the
-  /// child itself was rejected/shed, or lifecycle is off).  Same pending
-  /// accounting: a valid handle means the child resides in the storage.
+  /// being executed, and its unit becomes slack.
   TaskHandle spawn_tracked(task_type task) {
-    // order: relaxed — same optimistic-increment contract as spawn().
-    pending_->fetch_add(1, std::memory_order_relaxed);
-    const auto out = storage_->try_push(*place_, *k_, std::move(task));
-    if (!out.accepted || out.shed.has_value()) {
-      pending_->fetch_sub(1, std::memory_order_acq_rel);
+    if (*slack_ > 0) {
+      --*slack_;
+    } else {
+      // order: relaxed — an increment can never release a terminating
+      // peer; only the acq_rel slack flush decrements pending.
+      pending_->fetch_add(1, std::memory_order_relaxed);
     }
+    const auto out = storage_->try_push(*place_, *k_, std::move(task));
+    if (!out.accepted || out.shed.has_value()) ++*slack_;
     return out.handle;
   }
 
   /// Tombstone a spawned-but-unexecuted task.  On success the residency
-  /// will never be claimed as work, so it stops holding the termination
-  /// counter — the decrement here is the cancelled task's "execution".
-  /// False (already consumed / cancelled / stale handle) changes nothing.
+  /// will never be claimed as work, so its unit becomes slack — the
+  /// cancel is the task's "execution".  False (already consumed /
+  /// cancelled / stale handle) changes nothing.
   bool cancel(TaskHandle h) {
     if (!storage_->cancel(*place_, h)) return false;
-    pending_->fetch_sub(1, std::memory_order_acq_rel);
+    ++*slack_;
     return true;
   }
 
-  /// Decrease-key: detach + re-push at `priority`.  Pending moves only if
-  /// the residency count actually changed — detached but the requeue was
-  /// rejected or shed a task (either the re-pushed task itself or a
-  /// displaced resident; one task left the system either way).
+  /// Decrease-key: detach + re-push at `priority`.  A unit moves to slack
+  /// only if the residency count actually changed — detached but the
+  /// requeue was rejected or shed a task (either the re-pushed task itself
+  /// or a displaced resident; one task left the system either way).
   ReprioritizeOutcome<task_type> reprioritize(TaskHandle h,
                                               priority_type priority) {
     auto out = storage_->reprioritize(*place_, h, priority);
     if (out.detached &&
         (!out.requeue.accepted || out.requeue.shed.has_value())) {
-      pending_->fetch_sub(1, std::memory_order_acq_rel);
+      ++*slack_;
     }
     return out;
   }
@@ -211,6 +223,7 @@ class RunnerHandle {
   typename Storage::Place* place_;
   const int* k_;
   std::atomic<std::int64_t>* pending_;
+  std::int64_t* slack_;
   wheel_type* wheel_ = nullptr;
   std::atomic<std::uint64_t>* ticks_ = nullptr;
 };
@@ -236,11 +249,13 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
   result.wasted_by_place.assign(P, 0);
   result.policy_by_place.assign(P, PolicyReport{});
 
-  // Per-place tallies and controller state live on their own cache lines
-  // during the run; each is written only by its own worker.
+  // Per-place tallies, termination slack and controller state live on
+  // their own cache lines during the run; each is written only by its own
+  // worker.
   struct alignas(kCacheLine) Local {
     std::uint64_t expanded = 0;
     std::uint64_t wasted = 0;
+    std::int64_t slack = 0;
     typename Policy::PlaceState pstate;
     int current_k = 0;
   };
@@ -258,20 +273,18 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
     return result;
   }
 
-  std::atomic<std::int64_t> pending{
-      static_cast<std::int64_t>(seeds.size())};
+  // Round-robin seeding: multi-seed workloads (DES populations) start
+  // spread across places; a single seed lands at place 0 exactly like
+  // the original SSSP loop.  Each seed uses its place's initial window.
+  // Seeds obey the same backpressure accounting as spawns: only a seed
+  // that added a resident (accepted, nothing shed) holds pending.
+  std::int64_t admitted = 0;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    // Round-robin seeding: multi-seed workloads (DES populations) start
-    // spread across places; a single seed lands at place 0 exactly like
-    // the original SSSP loop.  Each seed uses its place's initial window.
-    // Seeds obey the same backpressure accounting as spawns.
     const auto out = storage.try_push(storage.place(i % P),
                                       locals[i % P].current_k, seeds[i]);
-    if (!out.accepted || out.shed.has_value()) {
-      // order: relaxed — still single-threaded (workers not yet started).
-      pending.fetch_sub(1, std::memory_order_relaxed);
-    }
+    if (out.accepted && !out.shed.has_value()) ++admitted;
   }
+  std::atomic<std::int64_t> pending{admitted};
 
   // Logical clock for the timer wheel: claimed pops, runner-wide.  At
   // P = 1 it advances deterministically with the execution order, so
@@ -283,23 +296,17 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
     auto& place = storage.place(place_idx);
     Local& local = locals[place_idx];
     RunnerHandle<Storage> handle(storage, place, local.current_k, pending,
-                                 wheel, &ticks);
-    // Deliver deadline actions against this worker's own place; counter
-    // credit (timers_fired + the cancel/reap counters inside the storage)
-    // lands on the advancing place, matching every other lifecycle op.
+                                 local.slack, wheel, &ticks);
+    // Deliver deadline actions against this worker's own place, through
+    // the handle so a tombstoned or shed residency pays its unit into this
+    // worker's slack; counter credit (timers_fired + the cancel/reap
+    // counters inside the storage) lands on the advancing place, matching
+    // every other lifecycle op.  A consumed/stale handle fails harmlessly.
     auto fire = [&](std::uint64_t /*when*/, const auto& op) {
       if (op.action == TimerAction::cancel) {
-        // A consumed/stale handle fails harmlessly; pending only moves
-        // when a real residency was tombstoned (its "execution").
-        if (storage.cancel(place, op.handle)) {
-          pending.fetch_sub(1, std::memory_order_acq_rel);
-        }
+        handle.cancel(op.handle);
       } else {
-        const auto out = storage.reprioritize(place, op.handle, op.priority);
-        if (out.detached &&
-            (!out.requeue.accepted || out.requeue.shed.has_value())) {
-          pending.fetch_sub(1, std::memory_order_acq_rel);
-        }
+        handle.reprioritize(op.handle, op.priority);
       }
     };
     // Capped exponential backoff on the idle path (replaces the flat
@@ -332,6 +339,13 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
         }
       }
       if (!task) {
+        // Return the slack before reading pending: acq_rel, because this
+        // decrement may be the one that releases a terminating peer.
+        if (local.slack > 0) {
+          pending.fetch_sub(local.slack, std::memory_order_acq_rel);
+          local.slack = 0;
+          KPS_FAILPOINT("runner.slack_flush");
+        }
         if (pending.load(std::memory_order_acquire) == 0) break;
         idle.spin();
         continue;
@@ -367,9 +381,9 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
       policy.record(local.pstate, useful);
       local.current_k = policy.window(local.pstate);
       if (tele) tele->publish_window(place_idx, local.current_k);
-      // Children are spawned; only now may this task stop holding the
-      // counter above zero.
-      pending.fetch_sub(1, std::memory_order_acq_rel);
+      // Children are spawned; only now may this task's unit become
+      // slack, to be spent by the next spawn or flushed when idle.
+      ++local.slack;
     }
   };
 

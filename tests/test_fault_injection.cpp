@@ -343,7 +343,8 @@ const char* injection_spec(const std::string& storage) {
   }
   if (storage == "ws_priority") return "wsprio.steal=fail:p=0.5";
   // ws_deque doubles as the runner-seam carrier.
-  return "wsdeque.steal=fail:p=0.5,runner.pop=fail:p=0.3";
+  return "wsdeque.steal=fail:p=0.5,runner.pop=fail:p=0.3,"
+         "runner.slack_flush=delay:iters=32:p=0.5";
 }
 
 void test_sssp_oracle_under_injection() {

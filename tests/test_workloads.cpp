@@ -7,6 +7,12 @@
 // registry facade — the checks iterate kStorageNames, so a storage added
 // to the registry is swept here automatically.  The deterministic
 // segment-store spill unit lives in test_mailbox (mailbox fold unit).
+//
+// The runner's termination protocol (pending counter + per-worker slack)
+// is checked on its own by a deterministic fan-out tree whose size is
+// known up front: every task must run exactly once, and under bounded
+// capacity (shed_lowest and reject) the run must still return with the
+// spawn/execute/shed ledger balanced.
 #include <atomic>
 #include <cassert>
 #include <cstdio>
@@ -64,6 +70,75 @@ void check_des(const std::string& label, const std::string& name,
   assert(run.runner.wasted == run.deferred);
   assert(hook_pops.load(std::memory_order_relaxed) ==
          run.runner.expanded + run.runner.wasted);
+}
+
+// --------------------------------------------------------- termination
+// Node id's children are 4·id + 1 + j for j < fanout(id): 1–3 from a
+// hash of the id above depth kTreeDepth, none at it.  Priority is
+// depth + a hashed fraction, so the depth rides in the task itself.
+
+constexpr std::uint32_t kTreeDepth = 11;
+
+std::uint32_t tree_fanout(std::uint32_t id, std::uint32_t depth) {
+  return depth < kTreeDepth
+             ? 1 + static_cast<std::uint32_t>(detail::mix64(id) % 3)
+             : 0;
+}
+
+SsspTask tree_node(std::uint32_t id, std::uint32_t depth) {
+  const double frac =
+      static_cast<double>(detail::mix64(~std::uint64_t{id}) >> 11) *
+      0x1.0p-53;  // [0, 1)
+  return {depth + frac, id};
+}
+
+std::uint64_t tree_size() {
+  std::uint64_t n = 0;
+  std::vector<SsspTask> stack{tree_node(0, 0)};
+  while (!stack.empty()) {
+    const SsspTask t = stack.back();
+    stack.pop_back();
+    ++n;
+    const auto depth = static_cast<std::uint32_t>(t.priority);
+    for (std::uint32_t j = 0; j < tree_fanout(t.payload, depth); ++j) {
+      stack.push_back(tree_node(4 * t.payload + 1 + j, depth + 1));
+    }
+  }
+  return n;
+}
+
+void check_termination(const std::string& name, std::size_t P, int k,
+                       std::uint64_t total, StorageConfig extra = {}) {
+  StatsRegistry stats(P);
+  auto storage = named_storage<SsspTask>(name, P, k, 5, stats, extra);
+  auto expand = [](RunnerHandle<decltype(storage)>& handle,
+                   const SsspTask& task) {
+    const auto depth = static_cast<std::uint32_t>(task.priority);
+    for (std::uint32_t j = 0; j < tree_fanout(task.payload, depth); ++j) {
+      handle.spawn(tree_node(4 * task.payload + 1 + j, depth + 1));
+    }
+    return true;
+  };
+  const RunnerResult r =
+      run_relaxed(storage, k, {tree_node(0, 0)}, expand, &stats);
+  const PlaceStats& t = r.totals;
+  assert(r.expanded + r.wasted == t.get(Counter::tasks_executed));
+  if (extra.capacity == 0) {
+    if (r.expanded != total) {
+      std::fprintf(stderr, "tree/%s P=%zu: expanded %llu of %llu\n",
+                   name.c_str(), P,
+                   static_cast<unsigned long long>(r.expanded),
+                   static_cast<unsigned long long>(total));
+      assert(false);
+    }
+    assert(t.get(Counter::tasks_spawned) == total);
+  } else {
+    // Lost work is allowed, a lost unit is not: the run returned, so
+    // every accepted task was executed or shed.
+    assert(r.expanded <= total);
+    assert(t.get(Counter::tasks_spawned) ==
+           t.get(Counter::tasks_executed) + t.get(Counter::tasks_shed));
+  }
 }
 
 // ----------------------------------------------------------------- BnB
@@ -131,6 +206,25 @@ void all_storages(CheckFn&& check_one) {
 int main() {
   const std::size_t kPlaces[] = {1, 4, 8};
   const int k = 64;
+
+  // --- Runner termination: exactly-once on the known-size tree, and a
+  // balanced ledger under both overflow policies at a tight capacity.
+  {
+    const std::uint64_t total = tree_size();
+    assert(total > 1000);
+    for (std::size_t P : kPlaces) {
+      for (const std::string_view name : kStorageNames) {
+        check_termination(std::string(name), P, k, total);
+        for (const OverflowPolicy policy :
+             {OverflowPolicy::shed_lowest, OverflowPolicy::reject}) {
+          StorageConfig bounded;
+          bounded.capacity = 32;
+          bounded.overflow_policy = policy;
+          check_termination(std::string(name), P, k, total, bounded);
+        }
+      }
+    }
+  }
 
   // --- DES: two parameter points (windowed and window-free).
   for (int variant = 0; variant < 2; ++variant) {
