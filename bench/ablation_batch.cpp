@@ -3,7 +3,7 @@
 // A publish extracts the private heap as one ascending run and mails it
 // as sorted segments; the receiving place folds each segment into its
 // store in O(log S), independent of run length and store size.
-// cfg.publish_batch caps the segment length and publish_batch <= 1 mails
+// cfg.publish_batch caps the segment length and publish_batch = 1 mails
 // one-task runs, so one knob sweeps the whole axis.
 //
 // Two panels:

@@ -294,9 +294,10 @@ inline StorageConfig apply_publish_batch(const Args& args,
       kPublishBatchFlag, static_cast<std::uint64_t>(cfg.publish_batch));
   // Range-check before the int field assignment: a u64 value above
   // INT_MAX used to narrow into a negative publish_batch and silently
-  // flip the hybrid into per-task publishes.
-  if (batch > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    std::fprintf(stderr, "error: --%s must fit an int, got %llu\n",
+  // flip the hybrid into per-task publishes, and 0 fails validate().
+  if (batch < 1 ||
+      batch > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    std::fprintf(stderr, "error: --%s must be in [1, INT_MAX], got %llu\n",
                  kPublishBatchFlag, static_cast<unsigned long long>(batch));
     std::exit(2);
   }

@@ -13,7 +13,7 @@
 //              private tasks accumulate (structural, §5.3) — the owner
 //              extracts its private heap as one ascending run, splits it
 //              into pre-sorted segments of at most publish_batch tasks
-//              (ablation A10; <= 1 mails one-task runs) and MAILS each one
+//              (ablation A10; 1 mails one-task runs) and MAILS each one
 //              to a peer's bounded MPSC inbox (support/mpsc_ring.hpp),
 //              round-robin, self at P = 1.  An inbox entry IS a segment.
 //              The owner folds its pending mail into its own SegmentStore
@@ -388,8 +388,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   }
 
   std::size_t run_batch() const {
-    return static_cast<std::size_t>(
-        cfg_.publish_batch > 1 ? cfg_.publish_batch : 1);
+    return static_cast<std::size_t>(cfg_.publish_batch);
   }
 
   /// Split the ascending flush into segments of at most publish_batch
@@ -524,7 +523,6 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   }
 
   void maybe_spill(Place& owner, Place& by) KPS_REQUIRES(owner.private_lock) {
-    if (cfg_.max_segments <= 0) return;
     const auto limit = static_cast<std::size_t>(cfg_.max_segments);
     if (owner.store.live_segments() <= limit) return;
     // Seam: stretch the spill critical section (private_lock held) so

@@ -70,29 +70,15 @@ struct StorageConfig {
   // Hybrid batched publish (ablation A10): a publish flushes the private
   // heap as one ascending run and mails it as pre-sorted segments of at
   // most this many tasks, each folded by the receiving place's segment
-  // store in O(log S).  <= 1 mails one-task runs (one inbox entry, one
+  // store in O(log S).  1 mails one-task runs (one inbox entry, one
   // fold-side segment per task).
   int publish_batch = 64;
-
-  // Centralized: guide the pop scan (and push free-slot probe) by a
-  // 64-bit-per-word occupancy summary instead of loading every slot.
-  // Off = the PR-1 linear scan, kept as the ablation baseline.
-  bool occupancy_summary = true;
-
-  // Centralized: descend a hierarchical min-index (support/min_index.hpp,
-  // one cached min per summary word + a d-ary tree over the words) to the
-  // best word instead of min-scanning every occupied slot.  Effective
-  // only with occupancy_summary on (the descent reads the word's
-  // occupancy bits); off = the PR-2 full occupied-scan, kept as the A15
-  // ablation baseline.
-  bool hierarchical_min = true;
 
   // Hybrid: cap on live sorted segments per place's folded store.  Small
   // k with a large task flood publishes many short runs faster than pops
   // drain them; once a store holds more than this many live segments,
   // the cold (worst-priority) half is folded into the store's cold heap
   // and the slots recycled, so per-pop segment-index work stays bounded.
-  // <= 0 disables spilling (the PR-2 unbounded-accumulation behaviour).
   int max_segments = 64;
 
   // Hybrid: bounded per-place inbox capacity, in runs (one inbox entry is
@@ -151,8 +137,9 @@ struct StorageConfig {
   /// for a usable config, else a diagnostic naming the bad field.  The
   /// checks reject exactly the values that used to fail silently —
   /// a k_max of 0 sized the centralized window to 1 behind the caller's
-  /// back, a negative publish_batch (e.g. a u64 flag value narrowed
-  /// through int) flipped the hybrid into per-task publishes, and a
+  /// back, a publish_batch of 0 or below (e.g. a u64 flag value narrowed
+  /// through int) was clamped into per-task publishes, a max_segments of
+  /// 0 let a store's segments grow without bound, and a
   /// multiqueue_factor of 0 was clamped to 1 without a word.
   std::string validate() const {
     if (k_max < 1) {
@@ -165,12 +152,12 @@ struct StorageConfig {
       return "default_k (" + std::to_string(default_k) +
              ") must not exceed k_max (" + std::to_string(k_max) + ")";
     }
-    if (publish_batch < 0) {
-      return "publish_batch must be >= 0, got " +
+    if (publish_batch < 1) {
+      return "publish_batch must be >= 1, got " +
              std::to_string(publish_batch);
     }
-    if (max_segments < 0) {
-      return "max_segments must be >= 0 (0 disables spilling), got " +
+    if (max_segments < 1) {
+      return "max_segments must be >= 1, got " +
              std::to_string(max_segments);
     }
     if (multiqueue_factor == 0) {

@@ -43,15 +43,13 @@
 // entries are therefore advanced with a CAS-max (chain times are
 // monotone), never a plain store that could roll a later value back.
 //
-// Virtual-time floor (PR-5, `DesParams::hierarchical_floor`, default
-// on): the floor is read from a hierarchical min-index over chain_time[]
-// (support/min_index.hpp) — one root load per windowed pop — and each
-// commit heals its chain's 64-entry block, so per-pop floor cost is
-// O(1) + O(64) instead of the O(chains) scan (the A16 panel; `false`
-// keeps the PR-3 linear scan as the ablation baseline).  The index
-// inherits the scan's approximation contract: chain times are monotone,
-// so a recompute-from-observed heal can only under-estimate — the root
-// is a true lower bound on live virtual time at every sample.
+// Virtual-time floor: the floor is read from a hierarchical min-index
+// over chain_time[] (support/min_index.hpp) — one root load per windowed
+// pop — and each commit heals its chain's 64-entry block, so per-pop
+// floor cost is O(1) + O(64), flat in the chain count (A16).  Chain
+// times are monotone, so a recompute-from-observed heal can only
+// under-estimate — the root is a true lower bound on live virtual time
+// at every sample.
 //
 // Tallies: the commutative outcome (events, checksum, station counts)
 // and the probe counters (deferred, inversions, floor_checks,
@@ -92,7 +90,6 @@ struct DesParams {
   double window = 8.0;           // causality window; < 0 disables the rule
   std::uint32_t max_defer = 8;   // lazy re-enqueue budget per event
   std::uint64_t seed = 1;
-  bool hierarchical_floor = true;  // min-index floor; false = O(chains) scan
 
   // PR-7 lifecycle: expire any enqueued event that sits unprocessed for
   // this many logical ticks (runner-wide claimed pops); 0 = never.
@@ -280,14 +277,13 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   seeds.reserve(p.chains);
   // Floor index: one cached min per 64 chains + a d-ary tree.  Floor
   // reads become one root load; commits heal their chain's block.
-  const bool hier_floor =
-      p.hierarchical_floor && p.window >= 0 && p.chains > 0;
+  const bool windowed = p.window >= 0 && p.chains > 0;
   std::optional<MinIndex> floor_index;
-  if (hier_floor) floor_index.emplace((p.chains + 63) / 64);
+  if (windowed) floor_index.emplace((p.chains + 63) / 64);
   for (std::uint32_t c = 0; c < p.chains; ++c) {
     const double t0 = des_initial_time(p, c);
     chain_time[c].store(t0, std::memory_order_relaxed);  // order: relaxed — init
-    if (hier_floor) floor_index->note_min(c / 64, t0);
+    if (windowed) floor_index->note_min(c / 64, t0);
     seeds.push_back({t0, {c, 0, 0}});
   }
 
@@ -329,19 +325,9 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     const double t = task.priority;
     Tally& tally = tallies[handle.place_index()];
 
-    if (p.window >= 0 && ev.defers < p.max_defer) {
-      double floor = kInf;
-      if (hier_floor) {
-        floor = floor_index->root();
-        ++tally.floor_loads;
-      } else {
-        for (const auto& ct : chain_time) {
-          // order: relaxed — same monotone under-estimate as block_floor.
-          const double v = ct.load(std::memory_order_relaxed);
-          if (v < floor) floor = v;
-        }
-        tally.floor_loads += chain_time.size();
-      }
+    if (windowed && ev.defers < p.max_defer) {
+      const double floor = floor_index->root();
+      ++tally.floor_loads;
       ++tally.floor_checks;
       if (t > floor + p.window) {
         // Causality-window violation: lazy re-enqueue, same timestamp,
@@ -382,7 +368,7 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     } else {
       detail::store_max(chain_time[ev.chain], kInf);
     }
-    if (hier_floor) {
+    if (windowed) {
       const std::size_t b = ev.chain / 64;
       floor_index->heal_block(
           b, [&] { return block_floor(b, &tally.floor_loads); });

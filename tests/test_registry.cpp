@@ -100,33 +100,45 @@ void test_config_validation() {
   neg_segments.max_segments = -1;
   assert(!neg_segments.validate().empty());
 
+  // 0 used to be a sentinel ("clamp to per-task publishes", "never
+  // spill"); both are now plain invalid values.
+  StorageConfig zero_batch;
+  zero_batch.publish_batch = 0;
+  assert(!zero_batch.validate().empty());
+
+  StorageConfig zero_segments;
+  zero_segments.max_segments = 0;
+  assert(!zero_segments.validate().empty());
+
   StorageConfig zero_factor;
   zero_factor.multiqueue_factor = 0;
   assert(!zero_factor.validate().empty());
 
-  // Boundary values that are meaningful stay legal: publish_batch 0/1
-  // (per-task publishes) and max_segments 0 (spilling disabled).
+  // Boundary values that are meaningful stay legal: publish_batch 1
+  // (per-task publishes, ablation A10) and max_segments 1.
   StorageConfig edges;
-  edges.publish_batch = 0;
-  edges.max_segments = 0;
+  edges.publish_batch = 1;
+  edges.max_segments = 1;
   edges.default_k = 0;  // per-op k = 0 is the hybrid's every-push mode
   assert(edges.validate().empty());
 
   // Every storage constructor enforces the same gate — through the
   // registry and through direct construction.
-  for (const std::string_view name : kStorageNames) {
-    bool threw = false;
-    try {
-      (void)make_storage<SsspTask>(name, 2, bad_k);
-    } catch (const std::invalid_argument&) {
-      threw = true;
+  for (const StorageConfig& bad : {bad_k, zero_batch, zero_segments}) {
+    for (const std::string_view name : kStorageNames) {
+      bool threw = false;
+      try {
+        (void)make_storage<SsspTask>(name, 2, bad);
+      } catch (const std::invalid_argument&) {
+        threw = true;
+      }
+      assert(threw);
     }
-    assert(threw);
   }
-  {
+  for (const StorageConfig& bad : {neg_batch, zero_batch, zero_segments}) {
     bool threw = false;
     try {
-      HybridKpq<SsspTask> direct(2, neg_batch);
+      HybridKpq<SsspTask> direct(2, bad);
       (void)direct;
     } catch (const std::invalid_argument&) {
       threw = true;

@@ -189,9 +189,9 @@ void all_storages(CheckFn&& check_one) {
   }
   // Acceptance: hybrid must stay exact at publish_batch 1 and 64, and
   // with the spill policy triggering constantly.
-  StorageConfig batch1;
-  batch1.publish_batch = 1;
-  check_one("hybrid/batch1", "hybrid", batch1);
+  StorageConfig per_task;
+  per_task.publish_batch = 1;
+  check_one("hybrid/publish1", "hybrid", per_task);
   StorageConfig batch64;
   batch64.publish_batch = 64;
   check_one("hybrid/batch64", "hybrid", batch64);
@@ -247,9 +247,8 @@ int main() {
   // --- DES deferral-heavy regression (PR-5): a causality window tighter
   // than one service time plus a deep defer budget exercises the
   // spawn-then-store ordering and the min-index floor under constant
-  // deferral pressure, in both floor modes (the oracle is floor-mode
-  // independent — the fix and the index must shift schedule quality,
-  // never results).
+  // deferral pressure (the fix and the index must shift schedule
+  // quality, never results).
   {
     DesParams params;
     params.stations = 16;
@@ -260,13 +259,10 @@ int main() {
     params.seed = 23;
     const DesOutcome oracle = des_sequential(params);
     assert(oracle.events > params.chains);
-    for (const bool hier : {true, false}) {
-      params.hierarchical_floor = hier;
-      for (std::size_t P : kPlaces) {
-        for (const char* name : {"centralized", "hybrid", "ws_deque"}) {
-          check_des(std::string(name) + (hier ? "/hier" : "/linear"),
-                    name, params, oracle, P, k);
-        }
+    for (std::size_t P : kPlaces) {
+      for (const char* name : {"centralized", "hybrid", "ws_deque"}) {
+        check_des(std::string(name) + "/deferral", name, params, oracle, P,
+                  k);
       }
     }
   }

@@ -122,9 +122,8 @@ void emit_workload_block(const char* workload, std::size_t P, int k,
 // ------------------------------------------- A15 / A16 (PR-5) rows
 
 /// A15: dense-window centralized pop — k = 4096 with ~2560 occupied
-/// slots, steady push+pop churn.  `hier` toggles the min-index descent
-/// against the PR-2 occupied-scan baseline; `exact` is conservation
-/// (every pushed task recovered exactly once).
+/// slots, steady push+pop churn through the min-index descent.  `exact`
+/// is conservation (every pushed task recovered exactly once).
 struct A15Row {
   double seconds = 0;
   double slot_loads_per_pop = 0;
@@ -136,12 +135,11 @@ struct A15Row {
   bool exact = false;
 };
 
-A15Row measure_a15(bool hier) {
+A15Row measure_a15() {
   using DenseTask = Task<std::uint64_t, double>;
   StorageConfig cfg;
   cfg.k_max = 4096;
   cfg.default_k = 4096;
-  cfg.hierarchical_min = hier;
   StatsRegistry stats(1);
   CentralizedKpq<DenseTask> storage(1, cfg, &stats);
   auto& place = storage.place(0);
@@ -193,7 +191,7 @@ void emit_a15(const char* name, const A15Row& r) {
 }
 
 /// A16: DES floor cost — floor_loads_per_pop must be flat in the chain
-/// count with the min-index and ~chains without it.
+/// count.
 struct A16Row {
   std::uint64_t chains = 0;
   double seconds = 0;
@@ -203,14 +201,13 @@ struct A16Row {
   bool exact = false;
 };
 
-A16Row measure_a16(std::uint32_t chains, bool hier, std::size_t P) {
+A16Row measure_a16(std::uint32_t chains, std::size_t P) {
   DesParams p;
   p.chains = chains;
   p.stations = 64;
   p.horizon = 3.0;
   p.window = 4.0;
   p.seed = 1;
-  p.hierarchical_floor = hier;
   const DesOutcome oracle = des_sequential(p);
   StorageConfig cfg;
   cfg.k_max = 256;
@@ -244,15 +241,132 @@ void emit_a16(const std::string& name, const A16Row& r) {
       r.exact ? "true" : "false");
 }
 
+// ------------------------------------- paired churn estimator (PR 6-8)
+
+/// The centralized hot-path churn every overhead row prices: one place,
+/// a k = 1024 window pre-filled with 640 tasks, then push+pop pairs.
+/// Crosses the densest failpoint seam set (push.slot_cas, pop.claim_cas,
+/// minindex.note_min, heal.clear_bit) and every telemetry emit site.
+using ChurnTask = Task<std::uint64_t, double>;
+
+class ChurnSide {
+ public:
+  explicit ChurnSide(const StorageConfig& cfg) : storage_(1, cfg, &stats_) {
+    for (int i = 0; i < 640; ++i) push();
+  }
+
+  /// Seconds for `ops` push+pop pairs.
+  double run(int ops) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < ops; ++i) {
+      push();
+      if (storage_.pop(storage_.place(0))) ++recovered_;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
+  }
+
+  /// Drain the leftovers; true iff every pushed task came back once.
+  bool drain_exact() {
+    while (storage_.pop(storage_.place(0))) ++recovered_;
+    return recovered_ == pushed_;
+  }
+
+ private:
+  void push() {
+    kps::push(storage_, storage_.place(0), 1024, {rng_.next_unit(), pushed_++});
+  }
+
+  StatsRegistry stats_{1};
+  CentralizedKpq<ChurnTask> storage_;
+  Xoshiro256 rng_{1};  // same seed on every side: identical op sequence
+  std::uint64_t pushed_ = 0;
+  std::uint64_t recovered_ = 0;
+};
+
+StorageConfig churn_config() {
+  StorageConfig cfg;
+  cfg.k_max = 1024;
+  cfg.default_k = 1024;
+  return cfg;
+}
+
+/// Paired, chunk-interleaved overhead of `obs` against `base`: the two
+/// sides run the same op sequence in small ALTERNATING chunks.  A chunk
+/// is ~0.1 ms; a preemption eats 10+ ms and lands on one chunk, and
+/// adjacent chunks share frequency/thermal/scheduler conditions, so the
+/// per-chunk ratio obs/base cancels slow drift that whole-run A/B pairs
+/// or independently sorted side medians cannot.  The estimate is the
+/// median of those ratios, with its interquartile band.
+struct PairedRatio {
+  double ratio = 1.0;
+  double q25 = 1.0;
+  double q75 = 1.0;
+  double ns_per_op_base = 0;  // median chunk, per op
+  double ns_per_op_obs = 0;
+  bool exact = false;
+
+  double pct(double r) const { return (r - 1.0) * 100.0; }
+};
+
+PairedRatio paired_churn(const StorageConfig& base_cfg,
+                         const StorageConfig& obs_cfg) {
+  const int kChunkOps = 500;
+  const int kChunks = 240;  // 120000 ops per side, total
+  ChurnSide base(base_cfg);
+  ChurnSide obs(obs_cfg);
+  base.run(kChunkOps);  // untimed warm-up chunk per side
+  obs.run(kChunkOps);
+  std::vector<double> t_base;
+  std::vector<double> t_obs;
+  std::vector<double> ratios;
+  for (int c = 0; c < kChunks; ++c) {
+    t_base.push_back(base.run(kChunkOps));
+    t_obs.push_back(obs.run(kChunkOps));
+    ratios.push_back(t_obs.back() / t_base.back());
+  }
+  std::sort(ratios.begin(), ratios.end());
+  std::sort(t_base.begin(), t_base.end());
+  std::sort(t_obs.begin(), t_obs.end());
+  PairedRatio est;
+  est.ratio = ratios[kChunks / 2];
+  est.q25 = ratios[kChunks / 4];
+  est.q75 = ratios[3 * kChunks / 4];
+  est.ns_per_op_base = t_base[kChunks / 2] / (2.0 * kChunkOps) * 1e9;
+  est.ns_per_op_obs = t_obs[kChunks / 2] / (2.0 * kChunkOps) * 1e9;
+  // Both drains run: && would skip the second on a failed first.
+  const bool base_exact = base.drain_exact();
+  est.exact = obs.drain_exact() && base_exact;
+  return est;
+}
+
+/// Five independent paired estimates; the row reports the median one
+/// (ratio, band and per-op times all from that rep), exact only if
+/// every rep conserved its tasks.  `rep()` returns a PairedRatio or a
+/// type derived from it.
+template <typename RepFn>
+auto median_of_reps(RepFn&& rep) {
+  std::vector<decltype(rep())> reps;
+  bool all_exact = true;
+  for (int r = 0; r < 5; ++r) {
+    reps.push_back(rep());
+    all_exact = all_exact && reps.back().exact;
+  }
+  std::sort(reps.begin(), reps.end(), [](const auto& a, const auto& b) {
+    return a.ratio < b.ratio;
+  });
+  auto mid = reps[reps.size() / 2];
+  mid.exact = all_exact;
+  return mid;
+}
+
 // ------------------------------------------------- PR-6 robustness rows
 
-/// Failpoint seam overhead: single-place centralized push+pop churn —
-/// the hot path crossing the densest seam set (push.slot_cas,
-/// pop.claim_cas, minindex.note_min, heal.clear_bit).  Run identically
-/// on a default build and a -DKPS_FAILPOINTS=ON build with every seam
-/// disarmed; the pair of ns_per_op values bounds the disarmed seam cost
-/// (acceptance: <2%).  "failpoints_compiled" records which build this
-/// row came from so the two JSONs are self-describing.
+/// Failpoint seam overhead: the churn run once, unpaired.  Run
+/// identically on a default build and a -DKPS_FAILPOINTS=ON build with
+/// every seam disarmed; the pair of ns_per_op values bounds the disarmed
+/// seam cost (acceptance: <2%).  "failpoints_compiled" records which
+/// build this row came from so the two JSONs are self-describing.
 struct OverheadRow {
   double seconds = 0;
   double ns_per_op = 0;
@@ -260,201 +374,51 @@ struct OverheadRow {
 };
 
 OverheadRow measure_failpoint_overhead() {
-  using ChurnTask = Task<std::uint64_t, double>;
-  StorageConfig cfg;
-  cfg.k_max = 1024;
-  cfg.default_k = 1024;
-  StatsRegistry stats(1);
-  CentralizedKpq<ChurnTask> storage(1, cfg, &stats);
-  auto& place = storage.place(0);
-  Xoshiro256 rng(1);
-  std::uint64_t pushed = 0;
-  std::uint64_t recovered = 0;
-  const int kFill = 640;
   const int kOps = 60000;
-  for (int i = 0; i < kFill; ++i) {
-    kps::push(storage, place, 1024, {rng.next_unit(), pushed++});
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kOps; ++i) {
-    kps::push(storage, place, 1024, {rng.next_unit(), pushed++});
-    if (storage.pop(place)) ++recovered;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  while (storage.pop(place)) ++recovered;
+  ChurnSide side(churn_config());
   OverheadRow row;
-  row.seconds = std::chrono::duration<double>(t1 - t0).count();
+  row.seconds = side.run(kOps);
   row.ns_per_op = row.seconds / (2.0 * kOps) * 1e9;
-  row.exact = recovered == pushed;
+  row.exact = side.drain_exact();
   return row;
 }
 
-/// PR-7 tombstone overhead: the measure_failpoint_overhead churn run
-/// against two live storages — lifecycle off and lifecycle
-/// on-but-never-cancelling — in small ALTERNATING chunks, accumulating
-/// each side's time separately.  On a timeshared single-core box a
-/// whole-run A/B pair cannot isolate a few-percent delta (interference
-/// phases outlast a run); chunk-interleaving lands every perturbation
-/// on both configs symmetrically.  The delta is the pure cost of
-/// carrying the capability: handle minting per push, the claim gate per
-/// pop, and the control-block cache footprint (acceptance: <5%).
-struct TombstonePair {
-  double ns_per_op_off = 0;
-  double ns_per_op_on = 0;
-  bool exact = false;
-};
-
-TombstonePair measure_tombstone_overhead() {
-  using ChurnTask = Task<std::uint64_t, double>;
-  StorageConfig cfg;
-  cfg.k_max = 1024;
-  cfg.default_k = 1024;
-  StatsRegistry stats_off(1);
-  CentralizedKpq<ChurnTask> off(1, cfg, &stats_off);
-  cfg.enable_lifecycle = true;
-  StatsRegistry stats_on(1);
-  CentralizedKpq<ChurnTask> on(1, cfg, &stats_on);
-
-  const int kFill = 640;
-  const int kChunkOps = 500;
-  const int kChunks = 240;  // 120000 ops per config, total
-  std::uint64_t pushed = 0;
-  std::uint64_t recovered = 0;
-  // Identical op sequence on both sides: same seed, same priorities.
-  Xoshiro256 rng_off(1);
-  Xoshiro256 rng_on(1);
-
-  const auto churn = [&](auto& storage, Xoshiro256& rng, int ops) {
-    auto& place = storage.place(0);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < ops; ++i) {
-      kps::push(storage, place, 1024, {rng.next_unit(), pushed++});
-      if (storage.pop(place)) ++recovered;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-
-  for (int i = 0; i < kFill; ++i) {
-    kps::push(off, off.place(0), 1024, {rng_off.next_unit(), pushed++});
-    kps::push(on, on.place(0), 1024, {rng_on.next_unit(), pushed++});
-  }
-  churn(off, rng_off, kChunkOps);  // untimed warm-up chunk per side
-  churn(on, rng_on, kChunkOps);
-  // A chunk is ~0.1 ms; a preemption eats 10+ ms and lands on whichever
-  // chunk is running, so chunk SUMS are storm-dominated.  The per-side
-  // MEDIAN chunk time ignores every such outlier as long as storms
-  // cover under half the chunks.
-  std::vector<double> t_off;
-  std::vector<double> t_on;
-  t_off.reserve(kChunks);
-  t_on.reserve(kChunks);
-  for (int c = 0; c < kChunks; ++c) {
-    t_off.push_back(churn(off, rng_off, kChunkOps));
-    t_on.push_back(churn(on, rng_on, kChunkOps));
-  }
-  while (off.pop(off.place(0))) ++recovered;
-  while (on.pop(on.place(0))) ++recovered;
-
-  std::sort(t_off.begin(), t_off.end());
-  std::sort(t_on.begin(), t_on.end());
-  TombstonePair row;
-  row.ns_per_op_off = t_off[kChunks / 2] / (2.0 * kChunkOps) * 1e9;
-  row.ns_per_op_on = t_on[kChunks / 2] / (2.0 * kChunkOps) * 1e9;
-  row.exact = recovered == pushed;
-  return row;
+/// PR-7 tombstone overhead: lifecycle off against lifecycle
+/// on-but-never-cancelling.  The delta is the pure cost of carrying the
+/// capability: handle minting per push, the claim gate per pop, and the
+/// control-block cache footprint (acceptance: <5%).
+PairedRatio measure_tombstone_overhead() {
+  StorageConfig on = churn_config();
+  on.enable_lifecycle = true;
+  return paired_churn(churn_config(), on);
 }
 
-/// PR-8 observability overhead: the tombstone methodology (paired
-/// chunk-interleaved churn, per-side median chunk) pricing the telemetry
-/// layer on the same centralized hot path.  Base side: lifecycle on, no
-/// tracer (the PR-7 production configuration).  Observed side: same
-/// config plus a Tracer attached to the place — either runtime-DISABLED
+/// PR-8 observability overhead.  Base side: lifecycle on, no tracer (the
+/// PR-7 production configuration).  Observed side: same config plus a
+/// Tracer attached to the place — either runtime-DISABLED
 /// (`set_enabled(false)`: the "plumbed but off" cost, one relaxed load
 /// per emit site; acceptance <2%) or ENABLED with the queue-delay
 /// histogram attached too at its default 1-in-8 stamp sampling (full
 /// recording cost; acceptance <10%).
-struct ObsPair {
-  double ns_per_op_base = 0;
-  double ns_per_op_obs = 0;
-  // Median over chunks of the PAIRED per-chunk ratio obs/base.  Adjacent
-  // chunks share frequency/thermal/scheduler conditions, so the paired
-  // ratio cancels slow drift that independently-sorted side medians
-  // cannot — the estimator the sub-2% verdict needs on a shared box.
-  double ratio = 1.0;
+struct ObsRep : PairedRatio {
   std::uint64_t trace_events = 0;  // drained from the observed side
   std::uint64_t trace_drops = 0;   // ring-full refusals (never blocking)
-  bool exact = false;
 };
 
-ObsPair measure_observability_overhead(bool tracing_enabled) {
-  using ChurnTask = Task<std::uint64_t, double>;
-  StorageConfig cfg;
-  cfg.k_max = 1024;
-  cfg.default_k = 1024;
+ObsRep measure_observability_overhead(bool tracing_enabled) {
+  StorageConfig cfg = churn_config();
   cfg.enable_lifecycle = true;
-  StatsRegistry stats_base(1);
-  CentralizedKpq<ChurnTask> base(1, cfg, &stats_base);
-
   Tracer tracer(1);
   tracer.set_enabled(tracing_enabled);
   Histogram queue_delay(1);
   StorageConfig ocfg = cfg;
   ocfg.trace = &tracer;
   if (tracing_enabled) ocfg.queue_delay = &queue_delay;
-  StatsRegistry stats_obs(1);
-  CentralizedKpq<ChurnTask> obs(1, ocfg, &stats_obs);
-
-  const int kFill = 640;
-  const int kChunkOps = 500;
-  const int kChunks = 240;
-  std::uint64_t pushed = 0;
-  std::uint64_t recovered = 0;
-  Xoshiro256 rng_base(1);
-  Xoshiro256 rng_obs(1);
-
-  const auto churn = [&](auto& storage, Xoshiro256& rng, int ops) {
-    auto& place = storage.place(0);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < ops; ++i) {
-      kps::push(storage, place, 1024, {rng.next_unit(), pushed++});
-      if (storage.pop(place)) ++recovered;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-
-  for (int i = 0; i < kFill; ++i) {
-    kps::push(base, base.place(0), 1024, {rng_base.next_unit(), pushed++});
-    kps::push(obs, obs.place(0), 1024, {rng_obs.next_unit(), pushed++});
-  }
-  churn(base, rng_base, kChunkOps);  // untimed warm-up chunk per side
-  churn(obs, rng_obs, kChunkOps);
-  std::vector<double> t_base;
-  std::vector<double> t_obs;
-  t_base.reserve(kChunks);
-  t_obs.reserve(kChunks);
-  for (int c = 0; c < kChunks; ++c) {
-    t_base.push_back(churn(base, rng_base, kChunkOps));
-    t_obs.push_back(churn(obs, rng_obs, kChunkOps));
-  }
-  while (base.pop(base.place(0))) ++recovered;
-  while (obs.pop(obs.place(0))) ++recovered;
-
-  ObsPair row;
-  std::vector<double> ratios;
-  ratios.reserve(kChunks);
-  for (int c = 0; c < kChunks; ++c) ratios.push_back(t_obs[c] / t_base[c]);
-  std::sort(ratios.begin(), ratios.end());
-  row.ratio = ratios[kChunks / 2];
-  std::sort(t_base.begin(), t_base.end());
-  std::sort(t_obs.begin(), t_obs.end());
-  row.ns_per_op_base = t_base[kChunks / 2] / (2.0 * kChunkOps) * 1e9;
-  row.ns_per_op_obs = t_obs[kChunks / 2] / (2.0 * kChunkOps) * 1e9;
-  row.trace_events = tracer.drain().size();
-  row.trace_drops = tracer.drops();
-  row.exact = recovered == pushed;
-  return row;
+  ObsRep rep;
+  static_cast<PairedRatio&>(rep) = paired_churn(cfg, ocfg);
+  rep.trace_events = tracer.drain().size();
+  rep.trace_drops = tracer.drops();
+  return rep;
 }
 
 /// Flood-victim counters: P = 2, every push from place 0, no pops until
@@ -565,15 +529,6 @@ int main(int argc, char** argv) {
   const auto multiq = measure("multiqueue", graphs, P, k);
   const auto ws_prio = measure("ws_priority", graphs, P, k);
   const auto ws_deque = measure("ws_deque", graphs, P, k);
-  // PR-2 ablation rows: the two hot-path mechanisms, toggled off, so
-  // the per-PR trajectory records both sides of each change.
-  StorageConfig batch1;
-  batch1.publish_batch = 1;
-  const auto hybrid_b1 = measure("hybrid", graphs, P, k, batch1);
-  StorageConfig linear_scan;
-  linear_scan.occupancy_summary = false;
-  const auto central_linear = measure("centralized", graphs, P, k,
-                                      linear_scan);
 
   std::printf("{\n");
   std::printf("  \"workload\": {\"n\": %llu, \"p\": %.2f, \"graphs\": %llu, "
@@ -586,9 +541,7 @@ int main(int argc, char** argv) {
   emit("sequential_dijkstra", seq, false);
   emit("global_pq", global_pq, false);
   emit("centralized_kpq", central, false);
-  emit("centralized_kpq_linear_scan", central_linear, false);
   emit("hybrid_kpq", hybrid, false);
-  emit("hybrid_kpq_batch1", hybrid_b1, false);
   emit("multiqueue", multiq, false);
   emit("ws_priority", ws_prio, false);
   emit("ws_deque", ws_deque, true);
@@ -689,45 +642,29 @@ int main(int argc, char** argv) {
   }
 
   // PR-5 hierarchical min-index rows (A15 dense-window centralized pop,
-  // A16 DES chain scaling), each with its oracle/conservation verdict
-  // and an explicit machine-independent acceptance verdict.
+  // A16 DES chain scaling), each with its oracle/conservation verdict;
+  // A16 adds a machine-independent flat-floor-cost verdict.
   {
     const std::uint64_t a16_big = args.value("a16-chains", 100000);
     std::printf("  \"hier_min\": {\n");
-    const A15Row a15_linear = measure_a15(false);
-    const A15Row a15_hier = measure_a15(true);
-    emit_a15("a15_central_dense_linear_scan", a15_linear);
-    emit_a15("a15_central_dense_hier", a15_hier);
-    const double ratio =
-        a15_hier.slot_loads_per_pop > 0
-            ? a15_linear.slot_loads_per_pop / a15_hier.slot_loads_per_pop
-            : 0.0;
-    std::printf("    \"a15_slot_load_ratio\": %.1f,\n", ratio);
-    std::printf("    \"a15_verdict_ge_4x\": %s,\n",
-                ratio >= 4.0 && a15_linear.exact && a15_hier.exact
-                    ? "true"
-                    : "false");
+    emit_a15("a15_central_dense_hier", measure_a15());
 
-    const A16Row a16_lin = measure_a16(4096, false, P);
-    const A16Row a16_small = measure_a16(4096, true, P);
+    const A16Row a16_small = measure_a16(4096, P);
     const A16Row a16_big_row =
-        measure_a16(static_cast<std::uint32_t>(a16_big), true, P);
-    emit_a16("a16_des_linear_c4096", a16_lin);
+        measure_a16(static_cast<std::uint32_t>(a16_big), P);
     emit_a16("a16_des_hier_c4096", a16_small);
     // Fixed key (chain count lives in the row): a chains-derived key
     // would collide with the c4096 row when --a16-chains is 4096 —
     // exactly what CI's smoke flags pass.
     emit_a16("a16_des_hier_scaled", a16_big_row);
-    // Floor cost independent of chain count: the big-chain hier row may
-    // not cost more than 2x the small one per pop (the linear scan grows
-    // ~24x over the same span).
+    // Floor cost independent of chain count: the big-chain row may not
+    // cost more than 2x the small one per pop.
     const bool flat =
         a16_small.floor_loads_per_pop > 0 &&
         a16_big_row.floor_loads_per_pop <=
             2.0 * a16_small.floor_loads_per_pop;
     std::printf("    \"a16_verdict_floor_cost_independent\": %s\n",
-                flat && a16_lin.exact && a16_small.exact &&
-                        a16_big_row.exact
+                flat && a16_small.exact && a16_big_row.exact
                     ? "true"
                     : "false");
     std::printf("  },\n");
@@ -799,71 +736,47 @@ int main(int argc, char** argv) {
                       ? "true"
                       : "false");
     }
-    // Median of five chunk-interleaved pairs (each pair is itself 240
-    // alternating chunks per side — see measure_tombstone_overhead).
-    TombstonePair best;
-    std::vector<double> ratios;
-    bool all_exact = true;
-    for (int rep = 0; rep < 5; ++rep) {
-      const TombstonePair pair = measure_tombstone_overhead();
-      all_exact = all_exact && pair.exact;
-      ratios.push_back(pair.ns_per_op_on / pair.ns_per_op_off);
-      if (rep == 0 || pair.ns_per_op_off < best.ns_per_op_off) best = pair;
-    }
-    std::sort(ratios.begin(), ratios.end());
-    const double overhead_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
+    const PairedRatio t = median_of_reps(measure_tombstone_overhead);
     std::printf(
         "    \"tombstone_overhead\": {\"ns_per_op_off\": %.1f, "
-        "\"ns_per_op_on\": %.1f, \"overhead_pct\": %.2f, \"exact\": %s, "
-        "\"verdict_lt_5pct\": %s}\n",
-        best.ns_per_op_off, best.ns_per_op_on, overhead_pct,
-        all_exact ? "true" : "false",
-        overhead_pct < 5.0 ? "true" : "false");
+        "\"ns_per_op_on\": %.1f, \"overhead_pct\": %.2f, "
+        "\"overhead_q25_pct\": %.2f, \"overhead_q75_pct\": %.2f, "
+        "\"exact\": %s, \"verdict_lt_5pct\": %s}\n",
+        t.ns_per_op_base, t.ns_per_op_obs, t.pct(t.ratio), t.pct(t.q25),
+        t.pct(t.q75), t.exact ? "true" : "false",
+        t.pct(t.ratio) < 5.0 ? "true" : "false");
     std::printf("  },\n");
   }
 
   // PR-8 observability rows: the telemetry layer priced with the same
-  // paired chunk-interleaved methodology.  Each rep's estimate is the
-  // median paired per-chunk ratio; the reported pct is the median of 5
-  // reps of that.
+  // paired estimator (median of five reps, each the median paired
+  // per-chunk ratio with its interquartile band).
   {
     std::printf("  \"observability\": {\n");
-    const auto priced = [&](bool enabled) {
-      ObsPair best;
-      std::vector<double> ratios;
-      bool all_exact = true;
-      for (int rep = 0; rep < 5; ++rep) {
-        const ObsPair pair = measure_observability_overhead(enabled);
-        all_exact = all_exact && pair.exact;
-        ratios.push_back(pair.ratio);
-        if (rep == 0 || pair.ns_per_op_base < best.ns_per_op_base) {
-          best = pair;
-        }
-      }
-      std::sort(ratios.begin(), ratios.end());
-      best.exact = all_exact;
-      return std::make_pair(best,
-                            (ratios[ratios.size() / 2] - 1.0) * 100.0);
-    };
-    const auto [dis, dis_pct] = priced(false);
+    const ObsRep d = median_of_reps(
+        [] { return measure_observability_overhead(false); });
     std::printf(
         "    \"tracing_disabled_overhead\": {\"ns_per_op_base\": %.1f, "
         "\"ns_per_op_attached_disabled\": %.1f, \"overhead_pct\": %.2f, "
+        "\"overhead_q25_pct\": %.2f, \"overhead_q75_pct\": %.2f, "
         "\"exact\": %s, \"verdict_lt_2pct\": %s},\n",
-        dis.ns_per_op_base, dis.ns_per_op_obs, dis_pct,
-        dis.exact ? "true" : "false", dis_pct < 2.0 ? "true" : "false");
-    const auto [en, en_pct] = priced(true);
+        d.ns_per_op_base, d.ns_per_op_obs, d.pct(d.ratio), d.pct(d.q25),
+        d.pct(d.q75), d.exact ? "true" : "false",
+        d.pct(d.ratio) < 2.0 ? "true" : "false");
+    const ObsRep e = median_of_reps(
+        [] { return measure_observability_overhead(true); });
     std::printf(
         "    \"tracing_enabled_overhead\": {\"ns_per_op_base\": %.1f, "
         "\"ns_per_op_enabled\": %.1f, \"overhead_pct\": %.2f, "
+        "\"overhead_q25_pct\": %.2f, \"overhead_q75_pct\": %.2f, "
         "\"delay_sample\": %d, "
         "\"trace_events\": %llu, \"trace_drops\": %llu, \"exact\": %s, "
         "\"verdict_lt_10pct\": %s}\n",
-        en.ns_per_op_base, en.ns_per_op_obs, en_pct,
-        StorageConfig{}.delay_sample,
-        static_cast<unsigned long long>(en.trace_events),
-        static_cast<unsigned long long>(en.trace_drops),
-        en.exact ? "true" : "false", en_pct < 10.0 ? "true" : "false");
+        e.ns_per_op_base, e.ns_per_op_obs, e.pct(e.ratio), e.pct(e.q25),
+        e.pct(e.q75), StorageConfig{}.delay_sample,
+        static_cast<unsigned long long>(e.trace_events),
+        static_cast<unsigned long long>(e.trace_drops),
+        e.exact ? "true" : "false", e.pct(e.ratio) < 10.0 ? "true" : "false");
     std::printf("  },\n");
   }
 

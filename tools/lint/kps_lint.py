@@ -14,6 +14,10 @@ Rules
                  versa (no phantom documentation).
   counter-sync   kCounterNames (support/stats.hpp) matches the counter
                  glossary table in DESIGN.md, both ways.
+  config-sync    every data member of StorageConfig (core/storage_traits.hpp)
+                 and DesParams (workloads/des.hpp) has a row in DESIGN.md's
+                 knob table, spelled `Struct::field`, and every row names a
+                 live member — so each knob states why it exists.
   header-hygiene every header has `#pragma once` and never includes
                  <iostream> (header-only library: iostream drags in static
                  init order and ~100 KB of code per TU).
@@ -42,6 +46,12 @@ BOUNDARY_ENDINGS = (";", "{", "}")
 WALK_LIMIT = 12
 
 FAILPOINT_RE = re.compile(r'KPS_FAILPOINT(?:_FAIL)?\(\s*"([^"]+)"')
+# A data member on one line: `Type name;` or `Type name = init;`.
+FIELD_RE = re.compile(r"^[\w:<>,\s]+?[\s*&]+(\w+)\s*(?:=[^;]*)?;$")
+# (header relative to include/kps, struct) pairs whose members are knobs.
+CONFIG_STRUCTS = ((os.path.join("core", "storage_traits.hpp"),
+                   "StorageConfig"),
+                  (os.path.join("workloads", "des.hpp"), "DesParams"))
 STRING_RE = re.compile(r'"([^"]*)"')
 BACKTICK_RE = re.compile(r"`([^`]+)`")
 
@@ -159,6 +169,27 @@ def parse_md_table(md_lines, header_cells, col):
     return out if active else None
 
 
+def parse_struct_fields(lines, struct):
+    """Data members declared at the top level of `struct NAME {...};` as
+    [(name, line)], or None if the struct is missing.  Member functions
+    and their bodies are skipped by tracking brace depth."""
+    out, depth, start = [], 0, None
+    for i, raw in enumerate(lines):
+        code = code_part(raw).strip()
+        if start is None:
+            if re.match(rf"struct\s+{struct}\b[^;]*{{", code):
+                start, depth = i, 1
+            continue
+        if depth == 1 and "(" not in code.split("=", 1)[0]:
+            m = FIELD_RE.match(code)
+            if m and not code.startswith(("static", "using", "return")):
+                out.append((m.group(1), i + 1))
+        depth += code.count("{") - code.count("}")
+        if depth <= 0:
+            return out
+    return None
+
+
 def check_sync(diag, kind, code_side, doc_side):
     """Both-direction set comparison with per-name diagnostics."""
     (code_path, code_entries), (doc_path, doc_entries) = code_side, doc_side
@@ -246,6 +277,36 @@ def run(root: str) -> int:
     else:
         check_sync(diag, "counter", (stats_path, counter_code),
                    (design_md, counter_doc))
+
+    # config-sync: one knob table covers every config struct, so the
+    # code side is the union of the qualified member names.
+    knob_doc = parse_md_table(md_lines, ("| Knob |", "Kind"), 0)
+    knob_code = []
+    for rel, struct in CONFIG_STRUCTS:
+        path, lines = by_name.get(rel, (None, None))
+        fields = parse_struct_fields(lines, struct) if path else None
+        if fields is None:
+            diag.error(path or include_root, 1,
+                       f"struct {struct} not found in {rel}")
+            continue
+        knob_code.append(
+            (path, [(f"{struct}::{name}", line) for name, line in fields]))
+    if knob_doc is None:
+        diag.error(design_md, 1, "config knob table not found")
+    else:
+        doc_names = {name for name, _ in knob_doc}
+        code_names = {name for _, fields in knob_code for name, _ in fields}
+        for path, fields in knob_code:
+            for name, line in fields:
+                if name not in doc_names:
+                    diag.error(path, line,
+                               f"knob `{name}` is not in the DESIGN.md "
+                               "knob table")
+        for name, line in knob_doc:
+            if name not in code_names:
+                diag.error(design_md, line,
+                           f"knob `{name}` is documented but absent from "
+                           "the code")
 
     # seam-sync
     seam_doc = parse_md_table(md_lines, ("| Seam |", "Injected meaning"), 0)

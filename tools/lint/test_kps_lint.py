@@ -17,6 +17,7 @@ LINT = os.path.join(HERE, "kps_lint.py")
 FIXTURES = os.path.join(ROOT, "tests", "lint_fixtures")
 
 H = os.path.join("include", "kps", "support")
+C = os.path.join("include", "kps", "core")
 
 EXPECTED = sorted([
     "DESIGN.md:5: error: failpoint seam `documented.seam` is documented "
@@ -25,6 +26,10 @@ EXPECTED = sorted([
     "absent from the code",
     "DESIGN.md:15: error: counter `ghost_counter` is documented but "
     "absent from the code",
+    "DESIGN.md:21: error: knob `StorageConfig::ghost_knob` is documented "
+    "but absent from the code",
+    f"{C}/storage_traits.hpp:6: error: knob `StorageConfig::mystery_knob` "
+    "is not in the DESIGN.md knob table",
     f"{H}/bad_header.hpp:1: error: header missing `#pragma once`",
     f"{H}/bad_header.hpp:2: error: <iostream> in a header "
     "(use <ostream>/<istream>)",
