@@ -7,7 +7,6 @@
 
 #include "queues/binary_heap.hpp"
 #include "queues/dary_heap.hpp"
-#include "queues/pairing_heap.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -73,22 +72,18 @@ void BM_ExtractHalf(benchmark::State& state) {
 using Binary = BinaryHeap<double, DoubleMin>;
 using Dary4 = DaryHeap<double, DoubleMin, 4>;
 using Dary8 = DaryHeap<double, DoubleMin, 8>;
-using Pairing = PairingHeap<double, DoubleMin>;
 
 }  // namespace
 
 BENCHMARK_TEMPLATE(BM_PushPopSorted, Binary)->Arg(1024)->Arg(65536);
 BENCHMARK_TEMPLATE(BM_PushPopSorted, Dary4)->Arg(1024)->Arg(65536);
 BENCHMARK_TEMPLATE(BM_PushPopSorted, Dary8)->Arg(1024)->Arg(65536);
-BENCHMARK_TEMPLATE(BM_PushPopSorted, Pairing)->Arg(1024)->Arg(65536);
 
 BENCHMARK_TEMPLATE(BM_MixedHotQueue, Binary)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_MixedHotQueue, Dary4)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_MixedHotQueue, Dary8)->Arg(4096);
-BENCHMARK_TEMPLATE(BM_MixedHotQueue, Pairing)->Arg(4096);
 
 BENCHMARK_TEMPLATE(BM_ExtractHalf, Binary)->Arg(8192);
 BENCHMARK_TEMPLATE(BM_ExtractHalf, Dary4)->Arg(8192);
-BENCHMARK_TEMPLATE(BM_ExtractHalf, Pairing)->Arg(8192);
 
 BENCHMARK_MAIN();

@@ -8,8 +8,7 @@
 #include "core/hybrid_kpq.hpp"
 #include "core/multiqueue.hpp"
 #include "core/task_types.hpp"
-#include "core/ws_deque_pool.hpp"
-#include "core/ws_priority.hpp"
+#include "core/ws_pool.hpp"
 #include "support/rng.hpp"
 
 namespace {

@@ -60,13 +60,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/lifecycle.hpp"
-#include "core/storage_traits.hpp"
+#include "core/storage_base.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
 #include "support/epoch.hpp"
@@ -87,89 +85,72 @@
 
 namespace kps {
 
+namespace detail {
+
+struct alignas(kCacheLine) CentralPlace : PlaceCore {
+  EpochThread epoch;
+  std::uint64_t rank_probe_tick = 0;  // pops since the last rank probe
+};
+
+}  // namespace detail
+
 template <typename TaskT>
 class CentralizedKpq
-    : public LifecycleOps<CentralizedKpq<TaskT>, TaskT> {
+    : public StorageBase<CentralizedKpq<TaskT>, TaskT, detail::CentralPlace> {
  public:
-  using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
-
-  struct alignas(kCacheLine) Place {
-    std::size_t index = 0;
-    PlaceCounters* counters = nullptr;
-    Tracer* trace = nullptr;
-    Xoshiro256 rng;
-    EpochThread epoch;
-    std::uint64_t rank_probe_tick = 0;  // pops since the last rank probe
-  };
+  using Place = detail::CentralPlace;
 
   CentralizedKpq(std::size_t places, StorageConfig cfg,
                  StatsRegistry* stats = nullptr)
-      : cfg_(cfg),
-        window_(static_cast<std::size_t>(std::max(cfg.k_max, 1))),
+      : StorageBase<CentralizedKpq, TaskT, Place>(places, cfg, stats),
+        window_(static_cast<std::size_t>(cfg.k_max)),
         summary_((window_.size() + 63) / 64),
-        min_index_(summary_.size()),
-        places_(places ? places : 1) {
-    stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
-    detail::init_places(places_, cfg, stats);
-    gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay,
-                       cfg_.delay_sample);
+        min_index_(summary_.size()) {
     // order: relaxed — constructor runs single-threaded; publication of
     // the whole object happens-before any concurrent use.
     for (auto& s : window_) s.store(nullptr, std::memory_order_relaxed);
     // order: relaxed — same single-threaded construction argument.
     for (auto& w : summary_) w.store(0, std::memory_order_relaxed);
-    for (auto& p : places_) p.epoch = domain_.register_thread();
+    for (auto& p : this->places_) p.epoch = domain_.register_thread();
   }
 
   ~CentralizedKpq() {
     // order: relaxed — destructor requires external quiescence (no
     // concurrent pushers/poppers); nothing to synchronize with.
     for (auto& s : window_) delete s.load(std::memory_order_relaxed);
+    // The places outlive domain_ (they live in the base): hand their
+    // retirements to the domain while it still exists.
+    for (auto& p : this->places_) p.epoch = EpochThread();
   }
-
-  std::size_t places() const { return places_.size(); }
-  Place& place(std::size_t i) { return places_[i]; }
-  const StorageConfig& config() const { return cfg_; }
 
   /// Capacity-aware push.  Shed tier: the strict overflow heap — window
   /// tasks (the hot ≤ k_max set) are never shed, so at capacity the shed
   /// threshold is the overflow heap's worst resident (or the incoming
   /// task itself while the overflow tier is empty).
   PushOutcome<TaskT> try_push(Place& p, int k, TaskT task) {
-    PushOutcome<TaskT> out;
-    if (gate_.at_capacity()) {
-      if (gate_.policy() == OverflowPolicy::reject) {
-        return detail::reject_incoming<TaskT>(p);
-      }
-      // shed_lowest: trade against the overflow tier under its lock, so
-      // the eviction and the replacement insert are one atomic step and
-      // the resident count is untouched.
-      overflow_lock_.lock();
-      if (detail::displace_worst(overflow_, task, this->ledger_, p, &out)) {
-        publish_overflow_min();
-        overflow_lock_.unlock();
-        return out;
-      }
-      overflow_lock_.unlock();
-      return detail::shed_incoming(p, std::move(task));
+    if (auto full = this->at_capacity(
+            p, task, [&](TaskT& t, PushOutcome<TaskT>* out) {
+              // Trade against the overflow tier under its lock, so the
+              // eviction and the replacement insert are one atomic step.
+              SpinGuard guard(overflow_lock_);
+              if (!this->displace_worst(overflow_, t, p, out)) return false;
+              publish_overflow_min();
+              return true;
+            })) {
+      return std::move(*full);
     }
-
-    p.counters->inc(Counter::tasks_spawned);
     // Every path below admits the task (window slot or overflow heap).
-    detail::trace_ev(p, TraceEv::push);
+    this->admitted(p);
+    PushOutcome<TaskT> out;
     const std::size_t window = window_size(k);
     auto* node = new Entry(this->ledger_.wrap(std::move(task), &out.handle));
     // No epoch pin here: push only loads slot pointers and CASes
     // nullptr->node, never dereferencing a node another thread may have
     // retired — only pop pays the pin fence.
     const std::size_t start =
-        cfg_.randomize_placement ? p.rng.next_bounded(window) : 0;
-    if (push_summary_guided(p, window, start, node)) {
-      gate_.add(1);
-      return out;
-    }
+        this->cfg_.randomize_placement ? p.rng.next_bounded(window) : 0;
+    if (push_summary_guided(p, window, start, node)) return out;
     // Window full: the task leaves the relaxed tier for the strict heap.
     // The wrapped entry moves tiers whole, keeping its handle redeemable.
     KPS_FAILPOINT("central.push.overflow");
@@ -177,7 +158,6 @@ class CentralizedKpq
     overflow_.push(std::move(*node));
     publish_overflow_min();
     overflow_lock_.unlock();
-    gate_.add(1);
     delete node;  // never published, nobody can hold a reference
     return out;
   }
@@ -225,25 +205,20 @@ class CentralizedKpq
         // window node we already hold.  Take the heap only while it
         // still beats `best` — reaping any tombstones that surface, each
         // of which re-exposes the next-best resident to the same check.
-        std::optional<TaskT> taken;
-        while (!overflow_.empty() &&
-               (!best ||
-                overflow_.top().task.priority < best->task.priority)) {
-          Entry e = overflow_.pop();
-          gate_.add(-1);
-          if (this->ledger_.claim_popped(e, p.index)) {
-            taken = std::move(e.task);
-            break;
-          }
-          p.counters->inc(Counter::tombstones_reaped);
-        }
+        // The callback runs inside claim_first, under overflow_lock_.
+        std::optional<TaskT> taken = this->claim_first(
+            p, [&](Entry& e) KPS_NO_THREAD_SAFETY_ANALYSIS {
+              if (overflow_.empty() ||
+                  (best && !(overflow_.top().task.priority <
+                             best->task.priority))) {
+                return false;
+              }
+              e = overflow_.pop();
+              return true;
+            });
         publish_overflow_min();
         overflow_lock_.unlock();
-        if (taken) {
-          p.counters->inc(Counter::tasks_executed);
-          detail::trace_ev(p, TraceEv::pop);
-          return taken;
-        }
+        if (taken) return this->popped(p, std::move(taken), false);
         if (best) {
           p.counters->inc(Counter::overflow_stale);
         } else {
@@ -258,43 +233,39 @@ class CentralizedKpq
           window_[best_idx].compare_exchange_strong(
               expected, nullptr, std::memory_order_acq_rel,
               std::memory_order_relaxed)) {
-        const bool live = this->ledger_.claim_popped(*best, p.index);
+        const bool live = this->claim_or_reap(*best, p);
         std::optional<TaskT> out;
         if (live) out = best->task;
+        const double claimed = static_cast<double>(best->task.priority);
         clear_bit_healed(best_idx);
         heal_word(p, best_idx / 64);
         p.epoch.retire(best,
                        [](void* ptr) { delete static_cast<Entry*>(ptr); });
-        gate_.add(-1);
-        if (live) {
-          p.counters->inc(Counter::tasks_executed);
-          detail::trace_ev(p, TraceEv::pop);
-          // Sampled rank-error probe (PR 8): every rank_probe-th
-          // successful window claim measures how many published tasks
-          // strictly beat the one we took — A1's aggregate ratio as a
-          // live distribution.  Still inside the epoch guard, so the
-          // slot pointers the scan reads cannot be freed under it.
-          if (cfg_.rank_probe > 0 &&
-              ++p.rank_probe_tick >=
-                  static_cast<std::uint64_t>(cfg_.rank_probe)) {
-            p.rank_probe_tick = 0;
-            probe_rank(p, static_cast<double>(out->priority));
-          }
-          return out;
+        if (!live) {
+          // Tombstone reaped: that is progress, not a failed claim —
+          // spend a fresh attempt budget on the next-best candidate.
+          attempt = -1;
+          continue;
         }
-        // Tombstone reaped: that is progress, not a failed claim — spend
-        // a fresh attempt budget on the next-best candidate.
-        p.counters->inc(Counter::tombstones_reaped);
-        attempt = -1;
-        continue;
+        // Sampled rank-error probe (PR 8): every rank_probe-th successful
+        // window claim measures how many published tasks strictly beat
+        // the one we took — A1's aggregate ratio as a live distribution.
+        // Still inside the epoch guard, so the slot pointers the scan
+        // reads cannot be freed under it.
+        const int probe = this->cfg_.rank_probe;
+        if (probe > 0 &&
+            ++p.rank_probe_tick >= static_cast<std::uint64_t>(probe)) {
+          p.rank_probe_tick = 0;
+          probe_rank(p, claimed);
+        }
+        return this->popped(p, std::move(out), false);
       }
       p.counters->inc(Counter::pop_cas_failures);
     }
     // Contention (lost every claim race) and drain (nothing anywhere)
     // exit through the split counters; pop_failures is DERIVED as their
     // sum at snapshot time (support/stats.hpp), never written here.
-    p.counters->inc(saw_empty ? Counter::pop_empty : Counter::pop_contended);
-    return std::nullopt;
+    return this->popped(p, std::nullopt, !saw_empty);
   }
 
  private:
@@ -480,7 +451,7 @@ class CentralizedKpq
         }
       }
     }
-    cfg_.rank_error->record(p.index, rank);
+    this->cfg_.rank_error->record(p.index, rank);
   }
 
   std::size_t window_size(int k) const {
@@ -496,8 +467,7 @@ class CentralizedKpq
                         std::memory_order_release);
   }
 
-  StorageConfig cfg_;
-  EpochDomain domain_;  // declared before places_: EpochThreads must die first
+  EpochDomain domain_;
   std::vector<std::atomic<Entry*>> window_;
   std::vector<std::atomic<std::uint64_t>> summary_;  // 1 bit per window slot
   MinIndex min_index_;  // one cached min per summary word + d-ary tree
@@ -505,9 +475,6 @@ class CentralizedKpq
   DaryHeap<Entry, detail::LcEntryLess, 4> overflow_
       KPS_GUARDED_BY(overflow_lock_);
   std::atomic<double> overflow_min_{kEmpty};
-  detail::CapacityGate gate_;
-  std::vector<Place> places_;
-  std::unique_ptr<StatsRegistry> owned_stats_;
 };
 
 }  // namespace kps

@@ -49,13 +49,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/lifecycle.hpp"
-#include "core/storage_traits.hpp"
+#include "core/storage_base.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
 #include "support/failpoint.hpp"
@@ -66,223 +64,227 @@
 
 namespace kps {
 
+namespace detail {
+
+inline constexpr double kHybridEmpty = std::numeric_limits<double>::infinity();
+
 template <typename TaskT>
-class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
-  static constexpr double kEmptyMin = std::numeric_limits<double>::infinity();
+double prio(const LcEntry<TaskT>& e) {
+  return static_cast<double>(e.task.priority);
+}
+
+/// A place's folded published work: pre-sorted segments (one per
+/// folded run, `head` indexing the best unconsumed task) behind an
+/// exact segment-head index, plus a cold heap fed by the spill policy.
+/// Exhausted segments park their slot on a free list and their vector
+/// on a bounded pool that also feeds the owner's outgoing mail, so a
+/// steady-state publish → fold → claim cycle allocates nothing.  Not
+/// synchronized: the owning Place guards it with private_lock.
+template <typename TaskT>
+class SegmentStore {
+  using Entry = LcEntry<TaskT>;
+
+ public:
+  /// Retained run buffers are capped at one ring's worth: inflow is
+  /// unbounded for a place that receives more mail than it sends (the
+  /// flood victim), and a publish burst can never draw more anyway.
+  void set_pool_cap(std::size_t cap) { pool_cap_ = cap; }
+
+  bool empty() const { return index_.empty() && cold_.empty(); }
+  std::size_t live_segments() const { return index_.size(); }
+
+  /// Best task anywhere in the store; kHybridEmpty when empty.
+  double best() const {
+    double m = index_.empty() ? kHybridEmpty : index_.top().priority;
+    if (!cold_.empty()) m = std::min(m, prio(cold_.top()));
+    return m;
+  }
+
+  /// Splice one ascending run in as a segment — the vector is swapped
+  /// in whole, O(log S) against the head index.  `run` comes back
+  /// holding the slot's previous (empty) capacity.
+  void ingest(std::vector<Entry>& run) {
+    std::uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(segments_.size());
+      segments_.emplace_back();
+    }
+    Segment& s = segments_[slot];
+    s.run.clear();
+    std::swap(s.run, run);
+    s.head = 0;
+    index_.push({prio(s.run.front()), slot});
+  }
+
+  /// Extract the best entry (precondition: !empty()).  A consumed
+  /// segment head advances; an exhausted segment recycles slot and run.
+  Entry claim() {
+    if (index_.empty() ||
+        (!cold_.empty() && prio(cold_.top()) < index_.top().priority)) {
+      return cold_.pop();
+    }
+    const SegHead h = index_.pop();
+    Segment& s = segments_[h.seg];
+    Entry e = std::move(s.run[s.head]);
+    if (++s.head < s.run.size()) {
+      index_.push({prio(s.run[s.head]), h.seg});
+    } else {
+      release(h.seg);
+    }
+    return e;
+  }
+
+  /// Spill policy (counter segment_spills): small k floods a store with
+  /// short runs faster than pops retire them, and every live segment
+  /// is an index entry each claim must sift past.  Keep the hottest
+  /// half (smallest heads) as segments and fold every colder segment's
+  /// remaining tasks into the COLD heap — never back into the private
+  /// heap, which is the republish source (cold tasks must not
+  /// ping-pong through the mail forever).  The store's minimum and
+  /// every relaxation bound are untouched.
+  void spill(std::size_t limit) {
+    spill_buf_.clear();
+    while (!index_.empty()) spill_buf_.push_back(index_.pop());
+    const std::size_t keep = std::max<std::size_t>(limit / 2, 1);
+    for (std::size_t i = 0; i < keep; ++i) index_.push(spill_buf_[i]);
+    for (std::size_t i = keep; i < spill_buf_.size(); ++i) {
+      Segment& s = segments_[spill_buf_[i].seg];
+      for (std::size_t j = s.head; j < s.run.size(); ++j) {
+        cold_.push(std::move(s.run[j]));
+      }
+      release(spill_buf_[i].seg);
+    }
+  }
+
+  /// Bank a spent run buffer's capacity (dropped beyond the cap).
+  void recycle(std::vector<Entry>&& run) {
+    if (pool_.size() < pool_cap_) {
+      run.clear();
+      pool_.push_back(std::move(run));
+    }
+  }
+
+  /// Top `to` up to `n` pooled buffers (the publisher's mail staging).
+  void lend(std::vector<std::vector<Entry>>& to, std::size_t n) {
+    while (to.size() < n && !pool_.empty()) {
+      to.push_back(std::move(pool_.back()));
+      pool_.pop_back();
+    }
+  }
+
+ private:
+  struct Segment {
+    std::vector<Entry> run;
+    std::size_t head = 0;
+  };
+  /// Head index entry: exact (one per live segment, updated whenever
+  /// a head advances), so its top IS the best segment task.
+  struct SegHead {
+    double priority;
+    std::uint32_t seg;
+  };
+  struct SegHeadLess {
+    bool operator()(const SegHead& a, const SegHead& b) const {
+      return a.priority < b.priority;
+    }
+  };
+
+  void release(std::uint32_t slot) {
+    Segment& s = segments_[slot];
+    recycle(std::move(s.run));
+    s.run = std::vector<Entry>();
+    s.head = 0;
+    free_.push_back(slot);
+  }
+
+  std::vector<Segment> segments_;  // slot-addressed
+  std::vector<std::uint32_t> free_;
+  DaryHeap<SegHead, SegHeadLess, 4> index_;
+  std::vector<std::vector<Entry>> pool_;
+  DaryHeap<Entry, LcEntryLess, 4> cold_;
+  std::vector<SegHead> spill_buf_;
+  std::size_t pool_cap_ = 0;
+};
+
+template <typename TaskT>
+struct alignas(kCacheLine) HybridPlace : PlaceCore {
+  using Entry = LcEntry<TaskT>;
+
+  // The place's own work: private heap plus folded store.  The lock is
+  // the owner's own cache line; spies only try_lock it.  Whoever holds
+  // it is also the single consumer of `inbox`.
+  Spinlock private_lock;
+  DaryHeap<Entry, LcEntryLess, 4> private_heap
+      KPS_GUARDED_BY(private_lock);
+  SegmentStore<TaskT> store KPS_GUARDED_BY(private_lock);
+  std::uint64_t pushes_since_publish KPS_GUARDED_BY(private_lock) = 0;
+  // Advertised best of private heap + store: spies can claim any of it.
+  std::atomic<double> private_min{kHybridEmpty};
+
+  // Bounded MPSC inbox: peers commit pre-sorted runs; the ring is its
+  // own synchronization (reserve/commit protocol), so it needs no
+  // capability on the producer side.
+  MpscRing<std::vector<Entry>> inbox;
+  // Advisory minimum over unfolded inbox entries: CAS-min'd by
+  // appenders, reset by every fold.  A hint — a stale value misroutes
+  // a redirect or a spy, never loses a task.
+  std::atomic<double> inbox_min{kHybridEmpty};
+
+  // Owner-only publish state: flush_buf is filled under private_lock
+  // and mailed after it drops; mail_pool holds run buffers staged from
+  // the store's pool while the publish still held the lock.  No single
+  // capability covers them — the owner thread is the ownership
+  // argument, so they stay unguarded on purpose.
+  std::vector<Entry> flush_buf;
+  std::vector<std::vector<Entry>> mail_pool;
+  std::uint64_t publish_cursor = 0;  // round-robin publish target
+
+  double own_best() const KPS_REQUIRES(private_lock) {
+    const double h =
+        private_heap.empty() ? kHybridEmpty : prio(private_heap.top());
+    return std::min(h, store.best());
+  }
+  /// Extract the best own entry (precondition: own_best() finite).
+  Entry claim_best() KPS_REQUIRES(private_lock) {
+    if (private_heap.empty() ||
+        (!store.empty() && store.best() <= prio(private_heap.top()))) {
+      return store.claim();
+    }
+    return private_heap.pop();
+  }
+  void publish_private_min() KPS_REQUIRES(private_lock) {
+    private_min.store(own_best(), std::memory_order_release);
+  }
+  /// What a peer can claim here: owned work or still-unfolded mail.
+  double advert() const {
+    return std::min(private_min.load(std::memory_order_acquire),
+                    inbox_min.load(std::memory_order_acquire));
+  }
+};
+
+}  // namespace detail
+
+template <typename TaskT>
+class HybridKpq
+    : public StorageBase<HybridKpq<TaskT>, TaskT, detail::HybridPlace<TaskT>> {
+  static constexpr double kEmptyMin = detail::kHybridEmpty;
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
  public:
-  using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
-
- private:
-  static double prio(const Entry& e) {
-    return static_cast<double>(e.task.priority);
-  }
-
- public:
-  /// A place's folded published work: pre-sorted segments (one per
-  /// folded run, `head` indexing the best unconsumed task) behind an
-  /// exact segment-head index, plus a cold heap fed by the spill policy.
-  /// Exhausted segments park their slot on a free list and their vector
-  /// on a bounded pool that also feeds the owner's outgoing mail, so a
-  /// steady-state publish → fold → claim cycle allocates nothing.  Not
-  /// synchronized: the owning Place guards it with private_lock.
-  class SegmentStore {
-   public:
-    /// Retained run buffers are capped at one ring's worth: inflow is
-    /// unbounded for a place that receives more mail than it sends (the
-    /// flood victim), and a publish burst can never draw more anyway.
-    void set_pool_cap(std::size_t cap) { pool_cap_ = cap; }
-
-    bool empty() const { return index_.empty() && cold_.empty(); }
-    std::size_t live_segments() const { return index_.size(); }
-
-    /// Best task anywhere in the store; kEmptyMin when empty.
-    double best() const {
-      double m = index_.empty() ? kEmptyMin : index_.top().priority;
-      if (!cold_.empty()) m = std::min(m, prio(cold_.top()));
-      return m;
-    }
-
-    /// Splice one ascending run in as a segment — the vector is swapped
-    /// in whole, O(log S) against the head index.  `run` comes back
-    /// holding the slot's previous (empty) capacity.
-    void ingest(std::vector<Entry>& run) {
-      std::uint32_t slot;
-      if (!free_.empty()) {
-        slot = free_.back();
-        free_.pop_back();
-      } else {
-        slot = static_cast<std::uint32_t>(segments_.size());
-        segments_.emplace_back();
-      }
-      Segment& s = segments_[slot];
-      s.run.clear();
-      std::swap(s.run, run);
-      s.head = 0;
-      index_.push({prio(s.run.front()), slot});
-    }
-
-    /// Extract the best entry (precondition: !empty()).  A consumed
-    /// segment head advances; an exhausted segment recycles slot and run.
-    Entry claim() {
-      if (index_.empty() ||
-          (!cold_.empty() && prio(cold_.top()) < index_.top().priority)) {
-        return cold_.pop();
-      }
-      const SegHead h = index_.pop();
-      Segment& s = segments_[h.seg];
-      Entry e = std::move(s.run[s.head]);
-      if (++s.head < s.run.size()) {
-        index_.push({prio(s.run[s.head]), h.seg});
-      } else {
-        release(h.seg);
-      }
-      return e;
-    }
-
-    /// Spill policy (counter segment_spills): small k floods a store with
-    /// short runs faster than pops retire them, and every live segment
-    /// is an index entry each claim must sift past.  Keep the hottest
-    /// half (smallest heads) as segments and fold every colder segment's
-    /// remaining tasks into the COLD heap — never back into the private
-    /// heap, which is the republish source (cold tasks must not
-    /// ping-pong through the mail forever).  The store's minimum and
-    /// every relaxation bound are untouched.
-    void spill(std::size_t limit) {
-      spill_buf_.clear();
-      while (!index_.empty()) spill_buf_.push_back(index_.pop());
-      const std::size_t keep = std::max<std::size_t>(limit / 2, 1);
-      for (std::size_t i = 0; i < keep; ++i) index_.push(spill_buf_[i]);
-      for (std::size_t i = keep; i < spill_buf_.size(); ++i) {
-        Segment& s = segments_[spill_buf_[i].seg];
-        for (std::size_t j = s.head; j < s.run.size(); ++j) {
-          cold_.push(std::move(s.run[j]));
-        }
-        release(spill_buf_[i].seg);
-      }
-    }
-
-    /// Bank a spent run buffer's capacity (dropped beyond the cap).
-    void recycle(std::vector<Entry>&& run) {
-      if (pool_.size() < pool_cap_) {
-        run.clear();
-        pool_.push_back(std::move(run));
-      }
-    }
-
-    /// Top `to` up to `n` pooled buffers (the publisher's mail staging).
-    void lend(std::vector<std::vector<Entry>>& to, std::size_t n) {
-      while (to.size() < n && !pool_.empty()) {
-        to.push_back(std::move(pool_.back()));
-        pool_.pop_back();
-      }
-    }
-
-   private:
-    struct Segment {
-      std::vector<Entry> run;
-      std::size_t head = 0;
-    };
-    /// Head index entry: exact (one per live segment, updated whenever
-    /// a head advances), so its top IS the best segment task.
-    struct SegHead {
-      double priority;
-      std::uint32_t seg;
-    };
-    struct SegHeadLess {
-      bool operator()(const SegHead& a, const SegHead& b) const {
-        return a.priority < b.priority;
-      }
-    };
-
-    void release(std::uint32_t slot) {
-      Segment& s = segments_[slot];
-      recycle(std::move(s.run));
-      s.run = std::vector<Entry>();
-      s.head = 0;
-      free_.push_back(slot);
-    }
-
-    std::vector<Segment> segments_;  // slot-addressed
-    std::vector<std::uint32_t> free_;
-    DaryHeap<SegHead, SegHeadLess, 4> index_;
-    std::vector<std::vector<Entry>> pool_;
-    DaryHeap<Entry, detail::LcEntryLess, 4> cold_;
-    std::vector<SegHead> spill_buf_;
-    std::size_t pool_cap_ = 0;
-  };
-
-  struct alignas(kCacheLine) Place {
-    std::size_t index = 0;
-    PlaceCounters* counters = nullptr;
-    Tracer* trace = nullptr;
-
-    // The place's own work: private heap plus folded store.  The lock is
-    // the owner's own cache line; spies only try_lock it.  Whoever holds
-    // it is also the single consumer of `inbox`.
-    Spinlock private_lock;
-    DaryHeap<Entry, detail::LcEntryLess, 4> private_heap
-        KPS_GUARDED_BY(private_lock);
-    SegmentStore store KPS_GUARDED_BY(private_lock);
-    std::uint64_t pushes_since_publish KPS_GUARDED_BY(private_lock) = 0;
-    // Advertised best of private heap + store: spies can claim any of it.
-    std::atomic<double> private_min{kEmptyMin};
-
-    // Bounded MPSC inbox: peers commit pre-sorted runs; the ring is its
-    // own synchronization (reserve/commit protocol), so it needs no
-    // capability on the producer side.
-    MpscRing<std::vector<Entry>> inbox;
-    // Advisory minimum over unfolded inbox entries: CAS-min'd by
-    // appenders, reset by every fold.  A hint — a stale value misroutes
-    // a redirect or a spy, never loses a task.
-    std::atomic<double> inbox_min{kEmptyMin};
-
-    // Owner-only publish state: flush_buf is filled under private_lock
-    // and mailed after it drops; mail_pool holds run buffers staged from
-    // the store's pool while the publish still held the lock.  No single
-    // capability covers them — the owner thread is the ownership
-    // argument, so they stay unguarded on purpose.
-    std::vector<Entry> flush_buf;
-    std::vector<std::vector<Entry>> mail_pool;
-    std::uint64_t publish_cursor = 0;  // round-robin publish target
-
-    double own_best() const KPS_REQUIRES(private_lock) {
-      const double h =
-          private_heap.empty() ? kEmptyMin : prio(private_heap.top());
-      return std::min(h, store.best());
-    }
-    /// Extract the best own entry (precondition: own_best() finite).
-    Entry claim_best() KPS_REQUIRES(private_lock) {
-      if (private_heap.empty() ||
-          (!store.empty() && store.best() <= prio(private_heap.top()))) {
-        return store.claim();
-      }
-      return private_heap.pop();
-    }
-    void publish_private_min() KPS_REQUIRES(private_lock) {
-      private_min.store(own_best(), std::memory_order_release);
-    }
-  };
+  using Place = detail::HybridPlace<TaskT>;
 
   HybridKpq(std::size_t places, StorageConfig cfg, StatsRegistry* stats = nullptr)
-      : cfg_(cfg), places_(places ? places : 1) {
-    stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
-    detail::init_places(places_, cfg_, stats);
-    for (Place& p : places_) {
-      p.inbox.init(static_cast<std::size_t>(cfg_.inbox_slots));
+      : StorageBase<HybridKpq, TaskT, Place>(places, cfg, stats) {
+    for (Place& p : this->places_) {
+      p.inbox.init(static_cast<std::size_t>(cfg.inbox_slots));
       SpinGuard guard(p.private_lock);  // uncontended; keeps the analysis whole
       p.store.set_pool_cap(p.inbox.capacity());
     }
-    gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay,
-                       cfg_.delay_sample);
   }
-
-  std::size_t places() const { return places_.size(); }
-  Place& place(std::size_t i) { return places_[i]; }
-  const StorageConfig& config() const { return cfg_; }
 
   /// Capacity-aware push.  Shed tier: the pusher's private heap only —
   /// the hot set it owns the lock for.  Folded segments are published
@@ -290,23 +292,18 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// path whose contract is "cheaply reachable worst", so an empty
   /// private heap sheds the incoming task.  No foreign place is touched.
   PushOutcome<TaskT> try_push(Place& p, int k, TaskT task) {
-    PushOutcome<TaskT> out;
-    if (gate_.at_capacity()) {
-      if (gate_.policy() == OverflowPolicy::reject) {
-        return detail::reject_incoming<TaskT>(p);
-      }
-      p.private_lock.lock();
-      if (!p.private_heap.empty() &&
-          detail::displace_worst(p.private_heap, task, this->ledger_, p,
-                                 &out)) {
-        p.publish_private_min();
-        p.private_lock.unlock();
-        return out;
-      }
-      p.private_lock.unlock();
-      return detail::shed_incoming(p, std::move(task));
+    if (auto full = this->at_capacity(
+            p, task, [&](TaskT& t, PushOutcome<TaskT>* out) {
+              SpinGuard guard(p.private_lock);
+              if (!this->displace_worst(p.private_heap, t, p, out)) {
+                return false;
+              }
+              p.publish_private_min();
+              return true;
+            })) {
+      return std::move(*full);
     }
-
+    PushOutcome<TaskT> out;
     push_accepted(p, k, std::move(task), &out.handle);
     return out;
   }
@@ -319,7 +316,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     std::optional<TaskT> out = claim_locked(p, p, &redirected);
     p.private_lock.unlock();
     bool saw_tasks = redirected;
-    if (!out && cfg_.enable_spying) out = spy(p, saw_tasks);
+    if (!out && this->cfg_.enable_spying) out = spy(p, saw_tasks);
     if (!out && redirected) {
       // The redirect raced away (or spying is off): our own tasks remain
       // this storage's obligation — drain unconditionally.
@@ -327,26 +324,17 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
       out = claim_locked(p, p, nullptr);
       p.private_lock.unlock();
     }
-    if (out) {
-      gate_.add(-1);
-      p.counters->inc(Counter::tasks_executed);
-      detail::trace_ev(p, TraceEv::pop);
-      return out;
-    }
     // Classification: "contended" if any tier advertised tasks this place
     // failed to claim (redirect, lost try_lock, tombstone-only sweep);
     // "empty" if every tier looked drained.
-    p.counters->inc(saw_tasks ? Counter::pop_contended : Counter::pop_empty);
-    return std::nullopt;
+    return this->popped(p, std::move(out), saw_tasks);
   }
 
  private:
   /// Accepted push: private heap; at the publish threshold (or at every
   /// push when k <= 0) flush the heap as one ascending run and mail it.
   void push_accepted(Place& p, int k, TaskT task, TaskHandle* handle) {
-    p.counters->inc(Counter::tasks_spawned);
-    detail::trace_ev(p, TraceEv::push);
-    gate_.add(1);
+    this->admitted(p);
     p.private_lock.lock();
     p.private_heap.push(this->ledger_.wrap(std::move(task), handle));
     ++p.pushes_since_publish;
@@ -355,7 +343,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     // stretches (more unpublished tasks) but no task is lost.
     const bool publish =
         (k <= 0 ||
-         (cfg_.structural_relaxation
+         (this->cfg_.structural_relaxation
               ? p.private_heap.size() >= static_cast<std::size_t>(k)
               : p.pushes_since_publish >= static_cast<std::uint64_t>(k))) &&
         !KPS_FAILPOINT_FAIL("hybrid.publish.attempt");
@@ -388,7 +376,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   }
 
   std::size_t run_batch() const {
-    return static_cast<std::size_t>(cfg_.publish_batch);
+    return static_cast<std::size_t>(this->cfg_.publish_batch);
   }
 
   /// Split the ascending flush into segments of at most publish_batch
@@ -417,10 +405,10 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// Round-robin publish target over the peers; self only at P = 1
   /// (publishing means sharing — a solo place folds its own mail).
   Place& pick_target(Place& p) {
-    const std::size_t n = places_.size();
+    const std::size_t n = this->places_.size();
     if (n == 1) return p;
     const std::size_t offset = 1 + (p.publish_cursor++ % (n - 1));
-    return places_[(p.index + offset) % n];
+    return this->places_[(p.index + offset) % n];
   }
 
   /// CAS-min the target's advisory inbox minimum after a commit.
@@ -442,7 +430,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// advertised via private_min, still spy-claimable).
   void mail_run(Place& p, std::vector<Entry> run) {
     Place& target = pick_target(p);
-    const double best = prio(run.front());
+    const double best = detail::prio(run.front());
     // Seam first: an injected append failure exercises the full-ring
     // fallback without actually filling inbox_slots slots.
     const bool appended = !KPS_FAILPOINT_FAIL("hybrid.inbox.append") &&
@@ -523,7 +511,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   }
 
   void maybe_spill(Place& owner, Place& by) KPS_REQUIRES(owner.private_lock) {
-    const auto limit = static_cast<std::size_t>(cfg_.max_segments);
+    const auto limit = static_cast<std::size_t>(this->cfg_.max_segments);
     if (owner.store.live_segments() <= limit) return;
     // Seam: stretch the spill critical section (private_lock held) so
     // racing spies pile up during the fold.
@@ -539,10 +527,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// realized rank error or one spy detour), never loses a task.
   void refresh_global_pub_min() {
     double best = kEmptyMin;
-    for (const Place& q : places_) {
-      best = std::min({best, q.private_min.load(std::memory_order_acquire),
-                       q.inbox_min.load(std::memory_order_acquire)});
-    }
+    for (const Place& q : this->places_) best = std::min(best, q.advert());
     global_pub_min_.store(best, std::memory_order_release);
   }
 
@@ -551,11 +536,8 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// a redirect is only taken against a live foreign reading).
   double best_foreign_advert(const Place& p) const {
     double best = kEmptyMin;
-    for (std::size_t i = 0; i < places_.size(); ++i) {
-      if (i == p.index) continue;
-      best = std::min(
-          {best, places_[i].private_min.load(std::memory_order_acquire),
-           places_[i].inbox_min.load(std::memory_order_acquire)});
+    for (std::size_t i = 0; i < this->places_.size(); ++i) {
+      if (i != p.index) best = std::min(best, this->places_[i].advert());
     }
     return best;
   }
@@ -566,9 +548,10 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// advert beats the own best.
   std::optional<TaskT> claim_locked(Place& owner, Place& by, bool* redirected)
       KPS_REQUIRES(owner.private_lock) {
-    for (;;) {
+    // The callback runs inside claim_first, under owner.private_lock.
+    return this->claim_first(by, [&](Entry& e) KPS_NO_THREAD_SAFETY_ANALYSIS {
       const double mine = owner.own_best();
-      if (mine == kEmptyMin) return std::nullopt;
+      if (mine == kEmptyMin) return false;
       if (redirected != nullptr &&
           global_pub_min_.load(std::memory_order_acquire) < mine) {
         // The hint claims a better advert somewhere.  Verify against the
@@ -578,19 +561,17 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
         const double foreign = best_foreign_advert(owner);
         if (foreign < mine) {
           *redirected = true;
-          return std::nullopt;
+          return false;
         }
         // Quiet the stale hint.  The store deliberately excludes our own
         // advert so our next claims do not re-trigger the O(P) verify;
         // events (publish, fold, spy) restore the full sweep.
         global_pub_min_.store(foreign, std::memory_order_release);
       }
-      Entry e = owner.claim_best();
+      e = owner.claim_best();
       owner.publish_private_min();
-      if (this->ledger_.claim_popped(e, by.index)) return std::move(e.task);
-      by.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
-    }
+      return true;
+    });
   }
 
   std::optional<TaskT> spy(Place& p, bool& saw_tasks) {
@@ -600,11 +581,9 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     // hot path.
     double best = kEmptyMin;
     std::size_t idx = kNone;
-    for (std::size_t i = 0; i < places_.size(); ++i) {
+    for (std::size_t i = 0; i < this->places_.size(); ++i) {
       if (i == p.index) continue;
-      const double m =
-          std::min(places_[i].private_min.load(std::memory_order_acquire),
-                   places_[i].inbox_min.load(std::memory_order_acquire));
+      const double m = this->places_[i].advert();
       if (m < best) {
         best = m;
         idx = i;
@@ -612,7 +591,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     }
     if (idx == kNone) return std::nullopt;
     saw_tasks = true;
-    Place& victim = places_[idx];
+    Place& victim = this->places_[idx];
     if (!victim.private_lock.try_lock()) return std::nullopt;
     // Fold the victim's mail first, so no mailed task waits on its owner.
     fold_inbox_locked(victim, p);
@@ -630,11 +609,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     return out;
   }
 
-  StorageConfig cfg_;
   alignas(kCacheLine) std::atomic<double> global_pub_min_{kEmptyMin};
-  detail::CapacityGate gate_;
-  std::vector<Place> places_;
-  std::unique_ptr<StatsRegistry> owned_stats_;
 };
 
 }  // namespace kps

@@ -61,7 +61,6 @@
 #include "support/spinlock.hpp"
 #include "support/stats.hpp"
 #include "support/thread_safety.hpp"
-#include "support/trace.hpp"
 
 namespace kps {
 
@@ -416,54 +415,6 @@ class LifecycleLedger {
 struct StorageCaps {
   bool cancel = false;
   bool reprioritize = false;
-};
-
-/// CRTP mixin providing the lifecycle surface of the TaskStorage
-/// concept.  Derived supplies try_push/config(); the mixin owns the
-/// ledger and the shared cancel/reprioritize logic, so the six storages
-/// do not each re-implement the state machine.
-template <typename Derived, typename TaskT, bool kCancel = true,
-          bool kReprioritize = true>
-class LifecycleOps {
- public:
-  static constexpr StorageCaps kCaps{kCancel, kReprioritize};
-
-  StorageCaps caps() const { return kCaps; }
-  bool lifecycle_enabled() const { return ledger_.enabled(); }
-
-  /// O(1) tombstone cancel; the entry is reaped by a later pop.  Counts
-  /// tasks_cancelled on the calling place.  The capacity gate is NOT
-  /// touched here — the residency is released at reap time.
-  template <typename PlaceT>
-  bool cancel(PlaceT& p, TaskHandle h) {
-    if (!ledger_.cancel(h)) return false;
-    p.counters->inc(Counter::tasks_cancelled);
-    detail::trace_ev(p, TraceEv::cancel, kCancelPlain);
-    return true;
-  }
-
-  /// Decrease-key (or any re-key) as tombstone + re-push.  The detach
-  /// counts as a cancel and the re-push as a spawn, keeping the ledger
-  /// equation exact; the re-push obeys capacity policy like any push
-  /// (see ReprioritizeOutcome for the caller's accounting contract).
-  template <typename PlaceT, typename PrioT>
-  ReprioritizeOutcome<TaskT> reprioritize(PlaceT& p, TaskHandle h,
-                                          PrioT priority) {
-    ReprioritizeOutcome<TaskT> out;
-    std::optional<TaskT> task = ledger_.detach(h);
-    if (!task.has_value()) return out;
-    out.detached = true;
-    p.counters->inc(Counter::tasks_cancelled);
-    detail::trace_ev(p, TraceEv::cancel, kCancelRekey);
-    task->priority = priority;
-    auto* self = static_cast<Derived*>(this);
-    out.requeue =
-        self->try_push(p, self->config().default_k, std::move(*task));
-    return out;
-  }
-
- protected:
-  detail::LifecycleLedger<TaskT> ledger_;
 };
 
 }  // namespace kps

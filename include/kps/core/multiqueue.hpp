@@ -11,12 +11,10 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/lifecycle.hpp"
-#include "core/storage_traits.hpp"
+#include "core/storage_base.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
 #include "support/backoff.hpp"
@@ -30,84 +28,34 @@ namespace kps {
 
 template <typename TaskT>
 class MultiQueuePool
-    : public LifecycleOps<MultiQueuePool<TaskT>, TaskT> {
+    : public StorageBase<MultiQueuePool<TaskT>, TaskT, PlaceCore> {
  public:
-  using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
-
-  struct alignas(kCacheLine) Place {
-    std::size_t index = 0;
-    PlaceCounters* counters = nullptr;
-    Tracer* trace = nullptr;
-    Xoshiro256 rng;
-  };
+  using Place = PlaceCore;
 
   MultiQueuePool(std::size_t places, StorageConfig cfg,
                  StatsRegistry* stats = nullptr)
-      : cfg_(cfg), places_(places ? places : 1) {
-    stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
-    detail::init_places(places_, cfg_, stats);
-    const std::size_t q = std::max<std::size_t>(
-        2, places_.size() * std::max<std::size_t>(cfg.multiqueue_factor, 1));
-    queues_ = std::vector<Queue>(q);
-    gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay,
-                       cfg_.delay_sample);
-  }
-
-  std::size_t places() const { return places_.size(); }
-  Place& place(std::size_t i) { return places_[i]; }
-  const StorageConfig& config() const { return cfg_; }
+      : StorageBase<MultiQueuePool, TaskT, PlaceCore>(places, cfg, stats),
+        queues_(std::max<std::size_t>(
+            2, this->places_.size() * cfg.multiqueue_factor)) {}
 
   /// Capacity-aware push.  Shed tier: one uniformly random queue (the
   /// same distribution an admit would have landed in), traded under a
   /// blocking lock — the shed path is off the fast path by construction.
   PushOutcome<TaskT> try_push(Place& p, int /*k*/, TaskT task) {
+    if (auto full = this->at_capacity(
+            p, task, [&](TaskT& t, PushOutcome<TaskT>* out) {
+              Queue& q = random_queue(p);
+              SpinGuard guard(q.lock);
+              if (!this->displace_worst(q.heap, t, p, out)) return false;
+              q.publish_top();
+              return true;
+            })) {
+      return std::move(*full);
+    }
     PushOutcome<TaskT> out;
-    if (gate_.at_capacity()) {
-      if (gate_.policy() == OverflowPolicy::reject) {
-        return detail::reject_incoming<TaskT>(p);
-      }
-      Queue& q = queues_[p.rng.next_bounded(queues_.size())];
-      q.lock.lock();
-      if (detail::displace_worst(q.heap, task, this->ledger_, p, &out)) {
-        q.publish_top();
-        q.lock.unlock();
-        return out;
-      }
-      q.lock.unlock();
-      return detail::shed_incoming(p, std::move(task));
-    }
-
-    // Bounded retry (the PR-6 livelock fix): the old `while (true)
-    // try_lock a random queue` loop had no progress guarantee — under
-    // oversubscription or an injected-failure storm a pusher could spin
-    // forever.  Now: kMaxPushProbes random try_lock probes with capped
-    // exponential backoff, then one *blocking* lock, which the spinlock's
-    // own pause/yield ladder makes a guaranteed-progress path.
-    Backoff backoff;
-    while (!backoff.exhausted(kMaxPushProbes)) {
-      Queue& q = queues_[p.rng.next_bounded(queues_.size())];
-      if (KPS_FAILPOINT_FAIL("mq.push.lock") || !q.lock.try_lock()) {
-        backoff.spin();
-        continue;
-      }
-      q.heap.push(this->ledger_.wrap(std::move(task), &out.handle));
-      q.publish_top();
-      q.lock.unlock();
-      gate_.add(1);
-      p.counters->inc(Counter::tasks_spawned);
-      detail::trace_ev(p, TraceEv::push);
-      return out;
-    }
-    Queue& q = queues_[p.rng.next_bounded(queues_.size())];
-    q.lock.lock();
-    q.heap.push(this->ledger_.wrap(std::move(task), &out.handle));
-    q.publish_top();
-    q.lock.unlock();
-    gate_.add(1);
-    p.counters->inc(Counter::tasks_spawned);
-    detail::trace_ev(p, TraceEv::push);
+    push_random_queue(p, std::move(task), &out.handle);
+    this->admitted(p);
     return out;
   }
 
@@ -115,7 +63,8 @@ class MultiQueuePool
     // Random two-choices probes; fall back to a full sweep before giving
     // up so pop only fails when the pool really looked empty.
     bool saw_tasks = false;
-    for (int attempt = 0; attempt < 4; ++attempt) {
+    std::optional<TaskT> out;
+    for (int attempt = 0; attempt < 4 && !out; ++attempt) {
       // Injected failure = this probe pair lost its race; next attempt.
       if (KPS_FAILPOINT_FAIL("mq.pop.probe")) continue;
       const std::size_t a = p.rng.next_bounded(queues_.size());
@@ -125,29 +74,17 @@ class MultiQueuePool
       const double tb = queues_[b].top_cache.load(std::memory_order_acquire);
       if (ta == kEmptyTop && tb == kEmptyTop) continue;
       saw_tasks = true;
-      Queue& q = queues_[ta <= tb ? a : b];
-      if (auto out = try_pop_queue(q, p)) {
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return out;
-      }
+      out = try_pop_queue(queues_[ta <= tb ? a : b], p);
     }
-    for (Queue& q : queues_) {
-      if (q.top_cache.load(std::memory_order_acquire) != kEmptyTop) {
+    for (std::size_t i = 0; i < queues_.size() && !out; ++i) {
+      if (queues_[i].top_cache.load(std::memory_order_acquire) != kEmptyTop) {
         saw_tasks = true;
       }
-      if (auto out = try_pop_queue(q, p)) {
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return out;
-      }
+      out = try_pop_queue(queues_[i], p);
     }
     // "Contended" = some queue advertised tasks but every claim attempt
     // lost (try_lock races, tombstone-only drains); "empty" otherwise.
-    p.counters->inc(saw_tasks ? Counter::pop_contended : Counter::pop_empty);
-    return std::nullopt;
+    return this->popped(p, std::move(out), saw_tasks);
   }
 
  private:
@@ -170,32 +107,56 @@ class MultiQueuePool
     }
   };
 
+  Queue& random_queue(Place& p) {
+    return queues_[p.rng.next_bounded(queues_.size())];
+  }
+
+  /// Push into a random queue.  Bounded retry (the PR-6 livelock fix):
+  /// kMaxPushProbes random try_lock probes with capped exponential
+  /// backoff, then one *blocking* lock, which the spinlock's own
+  /// pause/yield ladder makes a guaranteed-progress path.  Either way the
+  /// task is admitted once, into whichever queue got locked.
+  void push_random_queue(Place& p, TaskT task, TaskHandle* handle)
+      KPS_NO_THREAD_SAFETY_ANALYSIS {
+    // Which queue's lock is held is a run-time choice the analysis cannot
+    // name; every path below locks exactly one queue and unlocks it.
+    Backoff backoff;
+    Queue* q = nullptr;
+    while (q == nullptr && !backoff.exhausted(kMaxPushProbes)) {
+      Queue& c = random_queue(p);
+      if (!KPS_FAILPOINT_FAIL("mq.push.lock") && c.lock.try_lock()) {
+        q = &c;
+      } else {
+        backoff.spin();
+      }
+    }
+    if (q == nullptr) {
+      q = &random_queue(p);
+      q->lock.lock();
+    }
+    q->heap.push(this->ledger_.wrap(std::move(task), handle));
+    q->publish_top();
+    q->lock.unlock();
+  }
+
   std::optional<TaskT> try_pop_queue(Queue& q, Place& p) {
     if (q.top_cache.load(std::memory_order_acquire) == kEmptyTop) {
       return std::nullopt;
     }
     if (!q.lock.try_lock()) return std::nullopt;
-    std::optional<TaskT> out;
-    while (!q.heap.empty()) {
-      Entry e = q.heap.pop();
-      if (this->ledger_.claim_popped(e, p.index)) {
-        out = std::move(e.task);
-        break;
-      }
-      // Tombstone: free the residency and keep draining this queue.
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
-    }
+    // The callback runs inside claim_first, under q.lock.
+    std::optional<TaskT> out =
+        this->claim_first(p, [&](Entry& e) KPS_NO_THREAD_SAFETY_ANALYSIS {
+          if (q.heap.empty()) return false;
+          e = q.heap.pop();
+          return true;
+        });
     q.publish_top();
     q.lock.unlock();
     return out;
   }
 
-  StorageConfig cfg_;
   std::vector<Queue> queues_;
-  detail::CapacityGate gate_;
-  std::vector<Place> places_;
-  std::unique_ptr<StatsRegistry> owned_stats_;
 };
 
 }  // namespace kps

@@ -13,11 +13,13 @@
 // Error model: an unknown name throws std::invalid_argument from
 // make_storage (try_make_storage returns nullopt instead, for callers
 // probing availability); an invalid StorageConfig throws from the
-// storage constructor itself (detail::require_valid), regardless of
-// which path built it.
+// storage constructor itself (StorageBase), regardless of which path
+// built it.
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -31,8 +33,7 @@
 #include "core/hybrid_kpq.hpp"
 #include "core/multiqueue.hpp"
 #include "core/storage_traits.hpp"
-#include "core/ws_deque_pool.hpp"
-#include "core/ws_priority.hpp"
+#include "core/ws_pool.hpp"
 
 namespace kps {
 
@@ -42,6 +43,26 @@ inline constexpr std::string_view kStorageNames[] = {
     "global_pq",  "centralized", "hybrid",
     "multiqueue", "ws_priority", "ws_deque",
 };
+
+template <template <typename> class... S>
+struct StorageList {};
+
+/// The storage template behind each kStorageNames entry, in the same order.
+using RegisteredStorages =
+    StorageList<GlobalLockedPq, CentralizedKpq, HybridKpq, MultiQueuePool,
+                WsPriorityPool, WsDequePool>;
+
+/// The one name → storage dispatch: calls `fn.template operator()<S>(name)`
+/// for each registered storage template S with its registry name, in
+/// kStorageNames order, until a call returns true (the result).
+template <typename Fn>
+bool for_each_storage(Fn&& fn) {
+  return [&]<template <typename> class... S>(StorageList<S...>) {
+    static_assert(sizeof...(S) == std::size(kStorageNames));
+    std::size_t i = 0;
+    return (fn.template operator()<S>(kStorageNames[i++]) || ...);
+  }(RegisteredStorages{});
+}
 
 /// " global_pq centralized ..." — the enumeration benches splice into
 /// their --storage fail-fast diagnostics.
@@ -72,16 +93,15 @@ struct StorageCapability {
 /// (independent of the task type), so this table cannot drift from what
 /// cancel/reprioritize actually do — bench_common prints it from --help
 /// and require_capability fails fast against it.
-inline std::array<StorageCapability, 6> registry_capabilities() {
-  using Probe = Task<int, double>;
-  return {{
-      {"global_pq", GlobalLockedPq<Probe>::kCaps},
-      {"centralized", CentralizedKpq<Probe>::kCaps},
-      {"hybrid", HybridKpq<Probe>::kCaps},
-      {"multiqueue", MultiQueuePool<Probe>::kCaps},
-      {"ws_priority", WsPriorityPool<Probe>::kCaps},
-      {"ws_deque", WsDequePool<Probe>::kCaps},
-  }};
+inline std::array<StorageCapability, std::size(kStorageNames)>
+registry_capabilities() {
+  std::array<StorageCapability, std::size(kStorageNames)> rows{};
+  std::size_t i = 0;
+  for_each_storage([&]<template <typename> class S>(std::string_view name) {
+    rows[i++] = {name, S<Task<int, double>>::kCaps};
+    return false;
+  });
+  return rows;
 }
 
 /// Caps for one registered name; nullopt for an unknown name.
@@ -99,17 +119,13 @@ template <typename TaskT>
 std::optional<AnyStorage<TaskT>> try_make_storage(
     std::string_view name, std::size_t places, const StorageConfig& cfg,
     StatsRegistry* stats = nullptr) {
-  const auto wrap = [&]<template <typename> class S>() {
-    return AnyStorage<TaskT>(
-        std::make_unique<S<TaskT>>(places, cfg, stats));
-  };
-  if (name == "global_pq") return wrap.template operator()<GlobalLockedPq>();
-  if (name == "centralized") return wrap.template operator()<CentralizedKpq>();
-  if (name == "hybrid") return wrap.template operator()<HybridKpq>();
-  if (name == "multiqueue") return wrap.template operator()<MultiQueuePool>();
-  if (name == "ws_priority") return wrap.template operator()<WsPriorityPool>();
-  if (name == "ws_deque") return wrap.template operator()<WsDequePool>();
-  return std::nullopt;
+  std::optional<AnyStorage<TaskT>> out;
+  for_each_storage([&]<template <typename> class S>(std::string_view n) {
+    if (n != name) return false;
+    out.emplace(std::make_unique<S<TaskT>>(places, cfg, stats));
+    return true;
+  });
+  return out;
 }
 
 /// Like try_make_storage, but an unknown name is a hard error whose

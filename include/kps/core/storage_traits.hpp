@@ -26,15 +26,12 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/lifecycle.hpp"
 #include "support/histogram.hpp"
-#include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/trace.hpp"
 
@@ -110,7 +107,7 @@ struct StorageConfig {
   // at one predictable branch per emit site.
   //
   // trace: bounded per-place SPSC event rings; the tracer must cover at
-  // least as many places as the storage (fail-fast in init_places).
+  // least as many places as the storage (fail-fast at construction).
   Tracer* trace = nullptr;
   // queue_delay: per-task enqueue→pop latency histogram, stamped into
   // the lifecycle control block at wrap() and recorded at pop-claim time
@@ -235,121 +232,6 @@ class CapacityGate {
   OverflowPolicy policy_ = OverflowPolicy::reject;
   std::atomic<std::int64_t> size_{0};
 };
-
-/// Storages accept an optional external StatsRegistry; standalone uses
-/// (micro benches) get a private one.
-inline StatsRegistry* resolve_stats(std::size_t places, StatsRegistry* stats,
-                                    std::unique_ptr<StatsRegistry>& owned) {
-  if (stats) return stats;
-  owned = std::make_unique<StatsRegistry>(places);
-  return owned.get();
-}
-
-/// Shared fail-fast gate: every storage constructor funnels its config
-/// through here (via init_places), so a bad config can never silently
-/// reshape a structure mid-experiment.
-inline void require_valid(const StorageConfig& cfg) {
-  const std::string err = cfg.validate();
-  if (!err.empty()) {
-    throw std::invalid_argument("StorageConfig: " + err);
-  }
-}
-
-/// Common Place wiring shared by every storage: index, counter block, and
-/// (where the Place has one) a per-place RNG stream derived from the
-/// config seed.  Also the shared validation choke point — every storage
-/// calls this exactly once, from its constructor.
-template <typename PlaceVec>
-void init_places(PlaceVec& places, const StorageConfig& cfg,
-                 StatsRegistry* stats) {
-  require_valid(cfg);
-  // An undersized tracer would make place i emit on a ring it doesn't
-  // own (or out of bounds) — reject at construction, not at emit time.
-  if (cfg.trace != nullptr && cfg.trace->places() < places.size()) {
-    throw std::invalid_argument(
-        "StorageConfig: tracer covers " +
-        std::to_string(cfg.trace->places()) + " places, storage has " +
-        std::to_string(places.size()));
-  }
-  for (std::size_t i = 0; i < places.size(); ++i) {
-    places[i].index = i;
-    places[i].counters = &stats->place(i);
-    if constexpr (requires { places[i].rng; }) {
-      places[i].rng = Xoshiro256(cfg.seed * 0x9e37 + i + 1);
-    }
-    if constexpr (requires { places[i].trace; }) {
-      places[i].trace = cfg.trace;
-    }
-  }
-}
-
-/// The shared at-capacity epilogues every storage used to duplicate
-/// (PR-6 grew six near-identical ~25-line blocks; PR 7 folds them here).
-/// All three leave counter accounting exactly as the per-storage copies
-/// did, so the conservation ledger is unchanged.
-
-/// Reject policy: refuse the incoming task.
-template <typename TaskT, typename PlaceT>
-PushOutcome<TaskT> reject_incoming(PlaceT& p) {
-  p.counters->inc(Counter::push_rejected);
-  trace_ev(p, TraceEv::shed, kShedRejected);
-  PushOutcome<TaskT> out;
-  out.accepted = false;
-  return out;
-}
-
-/// Shed-lowest when the incoming task loses (or the shed tier cannot
-/// rank it): the incoming task is counted as spawned-then-shed so the
-/// ledger still balances.
-template <typename PlaceT, typename TaskT>
-PushOutcome<TaskT> shed_incoming(PlaceT& p, TaskT task) {
-  p.counters->inc(Counter::tasks_spawned);
-  p.counters->inc(Counter::tasks_shed);
-  trace_ev(p, TraceEv::shed, kShedIncoming);
-  PushOutcome<TaskT> out;
-  out.accepted = false;
-  out.shed = std::move(task);
-  return out;
-}
-
-/// Shed-lowest displacement against a locked heap of LcEntry: if the
-/// incoming task beats the tier's worst resident, evict that resident
-/// and admit the incoming task in its place (net resident count — and
-/// therefore the capacity gate — unchanged).  Returns false when the
-/// tier is empty or the incoming task does not beat the worst (caller
-/// falls back to shed_incoming).  Must be called with the heap's lock
-/// held.
-///
-/// Lifecycle interaction: the evicted resident is claimed exactly like
-/// a pop.  A live resident comes back through out->shed (counted
-/// tasks_shed, and the caller's runner pays its pending debt); a
-/// tombstoned resident is REAPED instead — the cancel already
-/// accounted for its exit, so shed stays empty and only
-/// tombstones_reaped ticks.  Either way the displaced slot's residency
-/// ends here, which is why the gate needs no adjustment.
-///
-/// `task` is taken by reference and consumed ONLY on a true return —
-/// a false return leaves it untouched for the caller's shed_incoming.
-template <typename Heap, typename TaskT, typename PlaceT>
-bool displace_worst(Heap& heap, TaskT& task,
-                    detail::LifecycleLedger<TaskT>& ledger,
-                    PlaceT& p, PushOutcome<TaskT>* out) {
-  if (heap.empty()) return false;
-  const std::size_t worst = heap.worst_index();
-  if (!(task.priority < heap.at(worst).task.priority)) return false;
-  LcEntry<TaskT> evicted = heap.extract_at(worst);
-  heap.push(ledger.wrap(std::move(task), &out->handle));
-  p.counters->inc(Counter::tasks_spawned);
-  trace_ev(p, TraceEv::push);
-  if (ledger.claim(evicted)) {
-    p.counters->inc(Counter::tasks_shed);
-    trace_ev(p, TraceEv::shed, kShedDisplaced);
-    out->shed = std::move(evicted.task);
-  } else {
-    p.counters->inc(Counter::tombstones_reaped);
-  }
-  return true;
-}
 
 }  // namespace detail
 

@@ -1,7 +1,8 @@
-// Classic array-backed binary min-heap (per comparator), the baseline
-// local component.  Swap-based sift; DaryHeap is the cache-optimized
-// variant the storages default to — keep both so micro_queues can show
-// the difference.
+// Classic array-backed binary min-heap (per comparator) with swap-based
+// sifts.  The storages use DaryHeap<…, 4>; micro_queues compares the two
+// (EXPERIMENTS.md, A7), and on bare `double` keys this heap measured the
+// faster one there.  Which heap the storages should use is an open
+// ROADMAP item.
 #pragma once
 
 #include <algorithm>

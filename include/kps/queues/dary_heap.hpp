@@ -1,9 +1,14 @@
-// Array-backed d-ary min-heap, the default local component (d = 4).
+// Array-backed d-ary min-heap, the local component of every storage
+// (d = 4).
 //
-// Two cache tricks over BinaryHeap: (a) fan-out 4 keeps all children of a
-// node inside one cache line for 8/16-byte elements, roughly halving the
-// depth of every sift; (b) sifts move a "hole" instead of swapping, so
-// each level costs one move rather than three.
+// Two layout choices differ from BinaryHeap: (a) fan-out 4 keeps all
+// children of a node inside one cache line for 8/16-byte elements and
+// halves the depth of every sift, at the cost of more compares per
+// level; (b) sifts move a "hole" instead of swapping, so each level costs
+// one move rather than three.  Neither is a measured win on its own: on
+// bare `double` keys micro_queues measured BinaryHeap faster
+// (EXPERIMENTS.md, A7), and no measurement yet covers the storages'
+// LcEntry elements.
 #pragma once
 
 #include <algorithm>

@@ -225,18 +225,4 @@ class Tracer {
   std::atomic<bool> enabled_{true};
 };
 
-namespace detail {
-
-/// The one-branch emit helper every storage hot path uses.  Compiles to
-/// nothing for Place types without a trace member (AnyStorage's facade
-/// places), one null check otherwise.
-template <typename PlaceT>
-inline void trace_ev(const PlaceT& p, TraceEv ev, std::uint64_t arg = 0) {
-  if constexpr (requires { p.trace; }) {
-    if (p.trace != nullptr) p.trace->emit(p.index, ev, arg);
-  }
-}
-
-}  // namespace detail
-
 }  // namespace kps

@@ -11,6 +11,9 @@
 //     tombstone reaped by the final drain.  The centralized rows double
 //     as epoch stress: cancelled window entries retire through the epoch
 //     domain while concurrent pops scan them.
+//   * Capacity gate after reaps (P = 1, reject): fill to capacity, cancel
+//     every third task, drain, and the refill admits exactly capacity
+//     tasks again.
 //   * Exactness with cancellation armed (P = 1): the strict storage pops
 //     the surviving tasks in exact priority order after a cancel sweep,
 //     and a reprioritized (decrease-key) task surfaces at its NEW rank;
@@ -290,6 +293,44 @@ void test_conservation_bounded() {
   std::printf("  conservation ledger balanced under shed-lowest capacity\n");
 }
 
+// Capacity gate after reaps: every residency a pop path ends — claimed
+// or reaped as a tombstone — must give its gate slot back.  A slot leaked
+// by a reap would shrink the storage's capacity for good; one released
+// twice would let a refill overshoot it.
+void test_capacity_released_after_reaps() {
+  constexpr std::uint32_t C = 40;
+  for (const std::string_view name : kStorageNames) {
+    StorageConfig extra;
+    extra.capacity = C;
+    extra.overflow_policy = OverflowPolicy::reject;
+    StatsRegistry stats(1);
+    auto storage = build(std::string(name), 1, 8, 29, stats, extra);
+    auto& place = storage.place(0);
+    const auto fill = [&](std::vector<TaskHandle>* handles) {
+      for (std::uint32_t i = 0; i < C; ++i) {
+        const auto out = storage.try_push(place, 8, {double(i % 7), i});
+        assert(out.accepted && !out.shed);
+        if (handles != nullptr) handles->push_back(out.handle);
+      }
+      const auto over = storage.try_push(place, 8, {0.5, C});
+      assert(!over.accepted && !over.shed);
+    };
+    std::vector<TaskHandle> handles;
+    fill(&handles);
+    std::uint32_t cancelled = 0;
+    for (std::uint32_t i = 0; i < C; i += 3, ++cancelled) {
+      assert(storage.cancel(place, handles[i]));
+    }
+    std::uint32_t popped = 0;
+    while (storage.pop(place)) ++popped;
+    assert(popped == C - cancelled);
+    assert(stats.total().get(Counter::tombstones_reaped) == cancelled);
+    fill(nullptr);
+  }
+  std::printf("  capacity gate released by every claim and reap, "
+              "6 storages\n");
+}
+
 // --------------------------------------------------- P = 1 exactness
 
 void test_exactness_with_cancellation() {
@@ -561,6 +602,7 @@ int main() {
   test_capability_registry();
   test_conservation_ledger();
   test_conservation_bounded();
+  test_capacity_released_after_reaps();
   test_exactness_with_cancellation();
   test_bnb_speculative_exact();
   test_timer_wheel_unit();

@@ -1,5 +1,5 @@
-// Tier-1: heap property and extract_half invariants for all three
-// sequential queue components.
+// Tier-1: heap property and extract_half invariants for the array heaps
+// (binary, d-ary) used as sequential queue components.
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -7,7 +7,6 @@
 
 #include "queues/binary_heap.hpp"
 #include "queues/dary_heap.hpp"
-#include "queues/pairing_heap.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -43,8 +42,7 @@ void check_sorted_pops(const char* name, std::size_t n, std::uint64_t seed) {
 }
 
 template <typename Q>
-void check_extract_half(const char* name, std::size_t n, std::uint64_t seed,
-                        bool exact_split) {
+void check_extract_half(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   Q q;
   std::vector<double> ref;
@@ -57,13 +55,8 @@ void check_extract_half(const char* name, std::size_t n, std::uint64_t seed,
   std::vector<double> loot;
   q.extract_half(loot);
 
-  if (exact_split) {
-    // Array heaps split off exactly the parent-free suffix.
-    assert(loot.size() == n - (n + 1) / 2);
-  } else if (n >= 2) {
-    assert(!loot.empty());    // pairing heap moves at least one element
-    assert(loot.size() < n);  // ... and never the root
-  }
+  // Array heaps split off exactly the parent-free suffix.
+  assert(loot.size() == n - (n + 1) / 2);
   assert(q.size() + loot.size() == n);
 
   // Conservation: remaining pops + loot == original multiset, and the
@@ -144,18 +137,15 @@ int main() {
   using Binary = BinaryHeap<double, Less>;
   using Dary4 = DaryHeap<double, Less, 4>;
   using Dary8 = DaryHeap<double, Less, 8>;
-  using Pairing = PairingHeap<double, Less>;
 
   for (std::uint64_t seed : {1, 2, 3}) {
     for (std::size_t n : {1, 2, 7, 64, 1000}) {
       check_sorted_pops<Binary>("binary", n, seed);
       check_sorted_pops<Dary4>("dary4", n, seed);
       check_sorted_pops<Dary8>("dary8", n, seed);
-      check_sorted_pops<Pairing>("pairing", n, seed);
 
-      check_extract_half<Binary>("binary", n, seed, true);
-      check_extract_half<Dary4>("dary4", n, seed, true);
-      check_extract_half<Pairing>("pairing", n, seed, false);
+      check_extract_half<Binary>(n, seed);
+      check_extract_half<Dary4>(n, seed);
 
       // Batched-publish primitive: full drain, partial, none, over-ask.
       for (std::size_t m : {std::size_t{0}, std::size_t{1}, n / 2, n,
@@ -163,12 +153,10 @@ int main() {
         check_extract_sorted_segment<Binary>("binary", n, m, seed);
         check_extract_sorted_segment<Dary4>("dary4", n, m, seed);
         check_extract_sorted_segment<Dary8>("dary8", n, m, seed);
-        check_extract_sorted_segment<Pairing>("pairing", n, m, seed);
       }
     }
     check_interleaved<Binary>(5000, seed);
     check_interleaved<Dary4>(5000, seed);
-    check_interleaved<Pairing>(5000, seed);
   }
   std::printf("test_queues: OK\n");
   return 0;

@@ -13,6 +13,7 @@
 // perf PRs are judged against identical methodology.
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -297,7 +298,9 @@ StorageConfig churn_config() {
 /// adjacent chunks share frequency/thermal/scheduler conditions, so the
 /// per-chunk ratio obs/base cancels slow drift that whole-run A/B pairs
 /// or independently sorted side medians cannot.  The estimate is the
-/// median of those ratios, with its interquartile band.
+/// median of those ratios, with its interquartile band.  `after_obs`,
+/// when set, runs off the clock after every observed chunk (the
+/// observability rows drain the trace ring there).
 struct PairedRatio {
   double ratio = 1.0;
   double q25 = 1.0;
@@ -310,13 +313,15 @@ struct PairedRatio {
 };
 
 PairedRatio paired_churn(const StorageConfig& base_cfg,
-                         const StorageConfig& obs_cfg) {
+                         const StorageConfig& obs_cfg,
+                         const std::function<void()>& after_obs = {}) {
   const int kChunkOps = 500;
   const int kChunks = 240;  // 120000 ops per side, total
   ChurnSide base(base_cfg);
   ChurnSide obs(obs_cfg);
   base.run(kChunkOps);  // untimed warm-up chunk per side
   obs.run(kChunkOps);
+  if (after_obs) after_obs();
   std::vector<double> t_base;
   std::vector<double> t_obs;
   std::vector<double> ratios;
@@ -324,6 +329,7 @@ PairedRatio paired_churn(const StorageConfig& base_cfg,
     t_base.push_back(base.run(kChunkOps));
     t_obs.push_back(obs.run(kChunkOps));
     ratios.push_back(t_obs.back() / t_base.back());
+    if (after_obs) after_obs();
   }
   std::sort(ratios.begin(), ratios.end());
   std::sort(t_base.begin(), t_base.end());
@@ -400,6 +406,11 @@ PairedRatio measure_tombstone_overhead() {
 /// per emit site; acceptance <2%) or ENABLED with the queue-delay
 /// histogram attached too at its default 1-in-8 stamp sampling (full
 /// recording cost; acceptance <10%).
+///
+/// The ring is drained off the clock after every observed chunk, as a
+/// sampler thread would drain it, so it never fills: a row with drops
+/// would price the ring-full refusal path instead of recording, and is
+/// not exact.
 struct ObsRep : PairedRatio {
   std::uint64_t trace_events = 0;  // drained from the observed side
   std::uint64_t trace_drops = 0;   // ring-full refusals (never blocking)
@@ -415,9 +426,11 @@ ObsRep measure_observability_overhead(bool tracing_enabled) {
   ocfg.trace = &tracer;
   if (tracing_enabled) ocfg.queue_delay = &queue_delay;
   ObsRep rep;
-  static_cast<PairedRatio&>(rep) = paired_churn(cfg, ocfg);
-  rep.trace_events = tracer.drain().size();
+  static_cast<PairedRatio&>(rep) = paired_churn(
+      cfg, ocfg, [&] { rep.trace_events += tracer.drain().size(); });
+  rep.trace_events += tracer.drain().size();
   rep.trace_drops = tracer.drops();
+  rep.exact = rep.exact && rep.trace_drops == 0;
   return rep;
 }
 
