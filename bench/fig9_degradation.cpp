@@ -50,8 +50,7 @@ const std::vector<SeamSet> kSeamSets = {
     {"centralized",
      {"central.push.slot_cas", "central.push.overflow",
       "central.pop.overflow", "central.pop.claim_cas",
-      "central.heal.clear_bit", "minindex.note_min", "epoch.advance",
-      "runner.pop"}},
+      "central.heal.clear_bit", "minindex.note_min", "runner.pop"}},
     {"hybrid",
      {"hybrid.publish.attempt", "hybrid.publish.flush",
       "hybrid.inbox.append", "hybrid.inbox.fold", "hybrid.spy",

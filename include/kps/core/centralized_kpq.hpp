@@ -2,29 +2,44 @@
 // a lock-free global slot array (the k-relaxation window) backed by a
 // strict overflow heap.
 //
-//   push — publish a heap-allocated task node into a free window slot with
-//          one CAS.  Randomized placement spreads concurrent pushers across
-//          the window (ablation A3 measures the linear-scan alternative);
-//          if the window is full the task overflows into the locked heap.
-//   pop  — scan the window for the best published node, compare against
+//   push — claim a free window slot with one CAS, write the task into the
+//          slot itself and publish it.  Randomized placement spreads
+//          concurrent pushers across the window (ablation A3 measures the
+//          linear-scan alternative); if the window is full the task
+//          overflows into the locked heap.
+//   pop  — scan the window for the best published slot, compare against
 //          the overflow heap's cached minimum, and claim the winner with
-//          one CAS.  A claimed node is retired through the epoch domain,
-//          because concurrent scanners may still be dereferencing it.
+//          one CAS.  The claimer copies the task out and frees the slot.
+//
+// Slot protocol: each slot holds its task inline, next to one state word
+// {version, EMPTY/WRITING/FULL/CLAIMED} and an atomic priority hint.
+//
+//   push   EMPTY(v) -CAS-> WRITING(v), write entry + pri, store FULL(v)
+//   claim  FULL(v)  -CAS-> CLAIMED(v), copy entry out,  store EMPTY(v+1)
+//
+// Only the WRITING pusher and the CLAIMED claimer touch the entry, and the
+// acquire CAS / release store pairs order one owner's accesses before the
+// next's.  Scanners read only the state word and `pri`, so no task memory
+// is ever freed under a reader and nothing needs reclaiming.  A claim
+// bumps the version as it empties the slot, so a candidate read before
+// the slot was recycled fails its claim CAS (ABA).  A pusher or claimer
+// stalled mid-protocol parks only its own slot: pushers take other slots
+// or the overflow heap, and scans skip it.
 //
 // Occupancy summary: one 64-bit word per 64 slots mirrors which slots are
 // occupied, so a push probes only clear-bit slots and a scan loads only
 // *occupied* slots, never all k — the fix for fig5's large-k cliff.  The
-// bitmap is a hint maintained so that, at quiescence, bit set ⊇ slot
-// occupied:
+// bitmap is a hint maintained so that, at quiescence, bit set ⊇ slot FULL:
 //
-//   * a pusher sets the bit only AFTER its slot CAS succeeds, so a set
-//     bit reliably leads scanners to a (possibly just-claimed) node;
+//   * a pusher sets the bit only AFTER its FULL store, so a set bit
+//     reliably leads scanners to a (possibly just-claimed) task;
 //   * a claimer clears the bit after emptying the slot, then re-reads the
 //     slot and re-sets the bit if a racing pusher refilled it in between
 //     (the clear/set race would otherwise hide a live task forever);
-//   * a scanner that finds a set bit over an empty slot applies the same
-//     healed clear lazily, so a heal re-set that itself lost a race with
-//     a second claimer cannot strand window capacity behind a stale bit;
+//   * a scanner that finds a set bit over a slot that is not FULL applies
+//     the same healed clear lazily, so a heal re-set that itself lost a
+//     race with a second claimer cannot strand window capacity behind a
+//     stale bit;
 //   * transient windows (bit not yet set, or cleared around a claim) only
 //     make a scan miss a task momentarily — pop is allowed to be weakly
 //     complete, and the bit becomes visible on the next attempt.
@@ -43,12 +58,12 @@
 // Counters: tree_descents, min_heals.
 //
 // Lifecycle (PR 7): window slots and the overflow heap hold LcEntry
-// nodes; a cancelled entry stays published as a tombstone until a pop's
+// values; a cancelled entry stays published as a tombstone until a pop's
 // claim CAS surfaces it, at which point it is reaped through exactly the
-// claim/retire path a live task takes (a tombstone claim resets the
-// attempt budget — a reap is progress, not a failed pop).  A window-full
-// push moves the ALREADY-WRAPPED entry into the overflow heap, so the
-// handle issued at wrap time stays redeemable across the tier change.
+// claim path a live task takes (a tombstone claim resets the attempt
+// budget — a reap is progress, not a failed pop).  A window-full push
+// moves the ALREADY-WRAPPED entry into the overflow heap, so the handle
+// issued at wrap time stays redeemable across the tier change.
 //
 // Relaxation guarantee: only window tasks can be bypassed, so a pop's rank
 // error is bounded by k regardless of P (ablation A1 measures this).
@@ -67,7 +82,6 @@
 #include "core/storage_base.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
-#include "support/epoch.hpp"
 #include "support/failpoint.hpp"
 #include "support/min_index.hpp"
 #include "support/rng.hpp"
@@ -87,8 +101,23 @@ namespace kps {
 
 namespace detail {
 
+// Slot state word layout: (version << 2) | phase.
+inline constexpr std::uint64_t kSlotEmpty = 0;
+inline constexpr std::uint64_t kSlotWriting = 1;  // pusher owns the entry
+inline constexpr std::uint64_t kSlotFull = 2;     // published, claimable
+inline constexpr std::uint64_t kSlotClaimed = 3;  // claimer owns the entry
+inline constexpr std::uint64_t kSlotPhase = 3;
+
+template <typename TaskT>
+struct WindowSlot {
+  std::atomic<std::uint64_t> state{kSlotEmpty};
+  // Priority hint for scanners: written before the FULL store, so a
+  // scanner that read FULL(v) sees v's priority or a later residency's.
+  std::atomic<double> pri{0.0};
+  LcEntry<TaskT> entry{};  // touched only in WRITING / CLAIMED
+};
+
 struct alignas(kCacheLine) CentralPlace : PlaceCore {
-  EpochThread epoch;
   std::uint64_t rank_probe_tick = 0;  // pops since the last rank probe
 };
 
@@ -109,19 +138,7 @@ class CentralizedKpq
         min_index_(summary_.size()) {
     // order: relaxed — constructor runs single-threaded; publication of
     // the whole object happens-before any concurrent use.
-    for (auto& s : window_) s.store(nullptr, std::memory_order_relaxed);
-    // order: relaxed — same single-threaded construction argument.
     for (auto& w : summary_) w.store(0, std::memory_order_relaxed);
-    for (auto& p : this->places_) p.epoch = domain_.register_thread();
-  }
-
-  ~CentralizedKpq() {
-    // order: relaxed — destructor requires external quiescence (no
-    // concurrent pushers/poppers); nothing to synchronize with.
-    for (auto& s : window_) delete s.load(std::memory_order_relaxed);
-    // The places outlive domain_ (they live in the base): hand their
-    // retirements to the domain while it still exists.
-    for (auto& p : this->places_) p.epoch = EpochThread();
   }
 
   /// Capacity-aware push.  Shed tier: the strict overflow heap — window
@@ -144,73 +161,60 @@ class CentralizedKpq
     this->admitted(p);
     PushOutcome<TaskT> out;
     const std::size_t window = window_size(k);
-    auto* node = new Entry(this->ledger_.wrap(std::move(task), &out.handle));
-    // No epoch pin here: push only loads slot pointers and CASes
-    // nullptr->node, never dereferencing a node another thread may have
-    // retired — only pop pays the pin fence.
+    Entry e = this->ledger_.wrap(std::move(task), &out.handle);
     const std::size_t start =
         this->cfg_.randomize_placement ? p.rng.next_bounded(window) : 0;
-    if (push_summary_guided(p, window, start, node)) return out;
+    if (push_summary_guided(p, window, start, e)) return out;
     // Window full: the task leaves the relaxed tier for the strict heap.
     // The wrapped entry moves tiers whole, keeping its handle redeemable.
     KPS_FAILPOINT("central.push.overflow");
     overflow_lock_.lock();
-    overflow_.push(std::move(*node));
+    overflow_.push(std::move(e));
     publish_overflow_min();
     overflow_lock_.unlock();
-    delete node;  // never published, nobody can hold a reference
     return out;
   }
 
   std::optional<TaskT> pop(Place& p) {
-    EpochGuard guard(p.epoch);
-    // Seam: a place parked here is pinned — the epoch-reclamation stall
-    // test wedges one pop exactly like a preempted scanner.
-    KPS_FAILPOINT("central.pop.pinned");
     bool saw_empty = false;
     for (int attempt = 0; attempt < 3; ++attempt) {
-      // Best node of the apparently-minimal word.  The whole slot array
+      // Best slot of the apparently-minimal word.  The whole slot array
       // is in play, not default_k: push honors the caller's per-op k, so
       // any slot up to k_max may hold a task.
-      Entry* best = nullptr;
-      std::size_t best_idx = 0;
-      descend_best(p, &best, &best_idx);
+      Candidate best = descend_best(p);
       // Descents exhausted without a candidate: the tree may be
       // transiently stale-high (a raise re-check race hid a word), so
       // completeness falls back to the full occupancy scan.
-      if (!best) {
-        scan_summary(p, &best, &best_idx);
-        if (best) {
-          // Repair exactly the word the tree was hiding.
-          min_index_.note_min(best_idx / 64,
-                              static_cast<double>(best->task.priority));
-        }
+      if (!best.found()) {
+        best = scan_summary(p);
+        // Repair exactly the word the tree was hiding.
+        if (best.found()) min_index_.note_min(best.idx / 64, best.pri);
       }
 
       const double heap_min =
           overflow_min_.load(std::memory_order_acquire);
-      if (!best && heap_min == kEmpty) {
+      if (!best.found() && heap_min == kEmpty) {
         saw_empty = true;
         break;
       }
 
-      if (!best ||
-          heap_min < static_cast<double>(best->task.priority)) {
+      if (!best.found() || heap_min < best.pri) {
         KPS_POP_OVERFLOW_RACE_HOOK();
         KPS_FAILPOINT("central.pop.overflow");
         overflow_lock_.lock();
         // Re-check the pre-lock snapshot under the lock: a racing pop
         // may have drained the good prefix of the heap, and popping its
         // NEW top here would return a strictly worse task than the
-        // window node we already hold.  Take the heap only while it
+        // window candidate we already hold.  Take the heap only while it
         // still beats `best` — reaping any tombstones that surface, each
         // of which re-exposes the next-best resident to the same check.
         // The callback runs inside claim_first, under overflow_lock_.
         std::optional<TaskT> taken = this->claim_first(
             p, [&](Entry& e) KPS_NO_THREAD_SAFETY_ANALYSIS {
               if (overflow_.empty() ||
-                  (best && !(overflow_.top().task.priority <
-                             best->task.priority))) {
+                  (best.found() &&
+                   !(static_cast<double>(overflow_.top().task.priority) <
+                     best.pri))) {
                 return false;
               }
               e = overflow_.pop();
@@ -219,28 +223,33 @@ class CentralizedKpq
         publish_overflow_min();
         overflow_lock_.unlock();
         if (taken) return this->popped(p, std::move(taken), false);
-        if (best) {
+        if (best.found()) {
           p.counters->inc(Counter::overflow_stale);
         } else {
           continue;
         }
       }
 
-      Entry* expected = best;
+      auto& slot = window_[best.idx];
+      std::uint64_t expected = best.state;
       // order: relaxed (failure) — a lost claim race reads nothing from
-      // the slot; success is acq_rel (acquire the node, release the hole).
+      // the slot; success is acquire, pairing with the pusher's FULL
+      // release so the entry copy below sees what it wrote.
       if (!KPS_FAILPOINT_FAIL("central.pop.claim_cas") &&
-          window_[best_idx].compare_exchange_strong(
-              expected, nullptr, std::memory_order_acq_rel,
-              std::memory_order_relaxed)) {
-        const bool live = this->claim_or_reap(*best, p);
-        std::optional<TaskT> out;
-        if (live) out = best->task;
-        const double claimed = static_cast<double>(best->task.priority);
-        clear_bit_healed(best_idx);
-        heal_word(p, best_idx / 64);
-        p.epoch.retire(best,
-                       [](void* ptr) { delete static_cast<Entry*>(ptr); });
+          slot.state.compare_exchange_strong(
+              expected, best.state | detail::kSlotClaimed,
+              std::memory_order_acquire, std::memory_order_relaxed)) {
+        // Seam: a claimer parked here holds the slot CLAIMED — it must
+        // wedge nobody but itself.
+        KPS_FAILPOINT("central.pop.claimed");
+        Entry e = std::move(slot.entry);
+        // Release: the next pusher's acquire CAS orders our copy before
+        // its overwrite.  The version bump fails every stale candidate.
+        slot.state.store(((best.state >> 2) + 1) << 2 | detail::kSlotEmpty,
+                         std::memory_order_release);
+        const bool live = this->claim_or_reap(e, p);
+        clear_bit_healed(best.idx);
+        heal_word(p, best.idx / 64);
         if (!live) {
           // Tombstone reaped: that is progress, not a failed claim —
           // spend a fresh attempt budget on the next-best candidate.
@@ -250,15 +259,13 @@ class CentralizedKpq
         // Sampled rank-error probe (PR 8): every rank_probe-th successful
         // window claim measures how many published tasks strictly beat
         // the one we took — A1's aggregate ratio as a live distribution.
-        // Still inside the epoch guard, so the slot pointers the scan
-        // reads cannot be freed under it.
         const int probe = this->cfg_.rank_probe;
         if (probe > 0 &&
             ++p.rank_probe_tick >= static_cast<std::uint64_t>(probe)) {
           p.rank_probe_tick = 0;
-          probe_rank(p, claimed);
+          probe_rank(p, static_cast<double>(e.task.priority));
         }
-        return this->popped(p, std::move(out), false);
+        return this->popped(p, std::move(e.task), false);
       }
       p.counters->inc(Counter::pop_cas_failures);
     }
@@ -274,17 +281,34 @@ class CentralizedKpq
   // quiescence each retry permanently heals the path it took.
   static constexpr int kMaxDescents = 4;
 
+  /// A scan's pick: the slot, the FULL(v) word its claim CAS expects, and
+  /// the priority hint read under that word.
+  struct Candidate {
+    std::size_t idx = 0;
+    std::uint64_t state = 0;  // never 0 once found: FULL is phase 2
+    double pri = kEmpty;
+    bool found() const { return state != 0; }
+  };
+
+  /// Slot idx's {state, pri} if it is FULL, else a not-found candidate.
+  Candidate read_slot(std::size_t idx) const {
+    const auto& s = window_[idx];
+    const std::uint64_t st = s.state.load(std::memory_order_acquire);
+    if ((st & detail::kSlotPhase) != detail::kSlotFull) return {};
+    // order: relaxed — the acquire above ordered this after the FULL(v)
+    // publication; a newer residency's value is only a stale hint, and
+    // the versioned claim CAS rejects it.
+    return {idx, st, s.pri.load(std::memory_order_relaxed)};
+  }
+
   /// Summary-guided free-slot probe: skip words whose 64 slots all look
   /// occupied, CAS into clear-bit candidates.  A stale-set bit (claim in
   /// flight) can hide a momentarily free slot; the worst case is a false
-  /// overflow into the strict heap — never a lost task.
+  /// overflow into the strict heap — never a lost task.  Moves `e` into
+  /// the slot on success; leaves it untouched on failure.
   bool push_summary_guided(Place& p, std::size_t window, std::size_t start,
-                           Entry* node) {
-    // Snapshot before the CAS: the winning CAS publishes `node`, and a
-    // racing pop may claim, retire, and (push being unpinned) free it
-    // before this thread's next instruction — `node` is ours to read
-    // only up to the publication point.
-    const double pri = static_cast<double>(node->task.priority);
+                           Entry& e) {
+    const double pri = static_cast<double>(e.task.priority);
     const std::size_t words = (window + 63) / 64;
     for (std::size_t i = 0; i < words; ++i) {
       std::size_t w = start / 64 + i;
@@ -302,15 +326,22 @@ class CentralizedKpq
         const std::size_t idx =
             base + static_cast<std::size_t>(std::countr_zero(free_bits));
         free_bits &= free_bits - 1;
+        auto& slot = window_[idx];
         // order: relaxed — free-slot probe; the CAS is the real gate.
-        Entry* expected = window_[idx].load(std::memory_order_relaxed);
-        if (expected != nullptr) continue;
+        std::uint64_t expected = slot.state.load(std::memory_order_relaxed);
+        if ((expected & detail::kSlotPhase) != detail::kSlotEmpty) continue;
         // order: relaxed (failure) — lost slot race carries no data;
-        // success is release to publish the node's payload.
+        // success is acquire, pairing with the last claimer's EMPTY
+        // release so its copy-out happens before our overwrite.
         if (!KPS_FAILPOINT_FAIL("central.push.slot_cas") &&
-            window_[idx].compare_exchange_strong(expected, node,
-                                                 std::memory_order_release,
-                                                 std::memory_order_relaxed)) {
+            slot.state.compare_exchange_strong(
+                expected, expected | detail::kSlotWriting,
+                std::memory_order_acquire, std::memory_order_relaxed)) {
+          slot.entry = std::move(e);
+          // order: relaxed — published by the FULL release store below.
+          slot.pri.store(pri, std::memory_order_relaxed);
+          slot.state.store(expected | detail::kSlotFull,
+                           std::memory_order_release);
           summary_[w].fetch_or(std::uint64_t{1} << (idx - base),
                                std::memory_order_release);
           min_index_.note_min(w, pri);
@@ -324,22 +355,18 @@ class CentralizedKpq
 
   /// Scan one summary word's occupied slots, folding them into the
   /// running best; applies the lazy stale-set repair exactly like the
-  /// full scan.  Returns slot pointers loaded.
-  std::uint64_t scan_word(std::size_t w, Entry** best,
-                          std::size_t* best_idx) {
+  /// full scan.  Returns slot state words loaded.
+  std::uint64_t scan_word(std::size_t w, Candidate* best) {
     std::uint64_t slot_loads = 0;
     std::uint64_t occ = summary_[w].load(std::memory_order_acquire);
     while (occ) {
       const std::size_t idx =
           w * 64 + static_cast<std::size_t>(std::countr_zero(occ));
       occ &= occ - 1;
-      Entry* node = window_[idx].load(std::memory_order_acquire);
+      const Candidate c = read_slot(idx);
       ++slot_loads;
-      if (node) {
-        if (!*best || node->task.priority < (*best)->task.priority) {
-          *best = node;
-          *best_idx = idx;
-        }
+      if (c.found()) {
+        if (!best->found() || c.pri < best->pri) *best = c;
       } else {
         // Stale-set repair: a heal re-set that lost a race with a
         // second claimer can strand a set bit over an empty slot,
@@ -353,13 +380,15 @@ class CentralizedKpq
 
   /// Full occupancy scan: every summary word, every occupied slot.  The
   /// completeness fallback after kMaxDescents stale descents.
-  void scan_summary(Place& p, Entry** best, std::size_t* best_idx) {
+  Candidate scan_summary(Place& p) {
+    Candidate best;
     std::uint64_t slot_loads = 0;
     p.counters->inc(Counter::summary_loads, summary_.size());
     for (std::size_t w = 0; w < summary_.size(); ++w) {
-      slot_loads += scan_word(w, best, best_idx);
+      slot_loads += scan_word(w, &best);
     }
     p.counters->inc(Counter::slot_loads, slot_loads);
+    return best;
   }
 
   /// Ground truth for a min-index heal: the minimum priority currently
@@ -371,12 +400,9 @@ class CentralizedKpq
       const std::size_t idx =
           w * 64 + static_cast<std::size_t>(std::countr_zero(occ));
       occ &= occ - 1;
-      Entry* node = window_[idx].load(std::memory_order_acquire);
       ++*slot_loads;
-      if (node) {
-        const double v = static_cast<double>(node->task.priority);
-        if (v < m) m = v;
-      }
+      const Candidate c = read_slot(idx);
+      if (c.found() && c.pri < m) m = c.pri;
     }
     return m;
   }
@@ -397,7 +423,8 @@ class CentralizedKpq
   /// stale word (claimed out or raise-hidden) heals it from ground
   /// truth and retries; the caller falls back to the full scan when
   /// every descent misses.
-  void descend_best(Place& p, Entry** best, std::size_t* best_idx) {
+  Candidate descend_best(Place& p) {
+    Candidate best;
     for (int d = 0; d < kMaxDescents; ++d) {
       p.counters->inc(Counter::tree_descents);
       std::uint64_t heals = 0;
@@ -409,34 +436,35 @@ class CentralizedKpq
       // the remaining descent budget before the caller's full scan.
       if (w == MinIndex::kNone) continue;
       p.counters->inc(Counter::summary_loads);
-      const std::uint64_t loads = scan_word(w, best, best_idx);
+      const std::uint64_t loads = scan_word(w, &best);
       p.counters->inc(Counter::slot_loads, loads);
-      if (*best) return;
+      if (best.found()) return best;
       heal_word(p, w);
     }
+    return best;
   }
 
-  /// Clear a claimed slot's summary bit, then heal the clear/set race: if
-  /// a pusher refilled the slot between our claim CAS and the clear, the
-  /// re-read sees its node (the pusher's fetch_or on the same word orders
-  /// its slot store before our fetch_and's view) and re-sets the bit.
+  /// Clear a slot's summary bit, then heal the clear/set race: if a
+  /// pusher refilled the slot before the clear, the re-read sees it FULL
+  /// (the pusher's fetch_or on the same word orders its FULL store
+  /// before our fetch_and's view) and re-sets the bit.  A pusher still
+  /// WRITING sets the bit itself after its FULL store.
   void clear_bit_healed(std::size_t idx) {
     auto& word = summary_[idx / 64];
     const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
     word.fetch_and(~bit, std::memory_order_acq_rel);
     // Seam: widen the clear/re-read race window the heal exists to close.
     KPS_FAILPOINT("central.heal.clear_bit");
-    if (window_[idx].load(std::memory_order_acquire) != nullptr) {
+    if (read_slot(idx).found()) {
       word.fetch_or(bit, std::memory_order_release);
     }
   }
 
   /// Window-visible rank error of a just-claimed task: published window
-  /// entries whose priority strictly beats it.  Must run under the
-  /// caller's epoch guard.  Tombstoned entries are counted as published
-  /// (checking liveness would race the canceller for no measurement
-  /// gain); with lifecycle off — the A1 configuration — the count is
-  /// exact for the window tier.
+  /// entries whose priority strictly beats it.  Tombstoned entries are
+  /// counted as published (checking liveness would race the canceller
+  /// for no measurement gain); with lifecycle off — the A1 configuration
+  /// — the count is exact for the window tier.
   void probe_rank(Place& p, double claimed) {
     std::uint64_t rank = 0;
     for (std::size_t w = 0; w < summary_.size(); ++w) {
@@ -445,10 +473,8 @@ class CentralizedKpq
         const std::size_t idx =
             w * 64 + static_cast<std::size_t>(std::countr_zero(occ));
         occ &= occ - 1;
-        Entry* node = window_[idx].load(std::memory_order_acquire);
-        if (node && static_cast<double>(node->task.priority) < claimed) {
-          ++rank;
-        }
+        const Candidate c = read_slot(idx);
+        if (c.found() && c.pri < claimed) ++rank;
       }
     }
     this->cfg_.rank_error->record(p.index, rank);
@@ -467,8 +493,7 @@ class CentralizedKpq
                         std::memory_order_release);
   }
 
-  EpochDomain domain_;
-  std::vector<std::atomic<Entry*>> window_;
+  std::vector<detail::WindowSlot<TaskT>> window_;
   std::vector<std::atomic<std::uint64_t>> summary_;  // 1 bit per window slot
   MinIndex min_index_;  // one cached min per summary word + d-ary tree
   Spinlock overflow_lock_;

@@ -215,6 +215,9 @@ class WorkStealingPool
       if (from_loot) out = take_own(p);
       p.lock.unlock();
     }
+    // Loot of tombstones only: reaped, nothing stolen — counted like a
+    // single steal that surfaces no live task.
+    if (!out) return out;
     p.counters->inc(Counter::stolen_items, stolen);
     // Thief records on its OWN ring (SPSC); victim id rides in arg.
     detail::trace_ev(p, TraceEv::steal,

@@ -31,7 +31,7 @@ enum class Counter : std::size_t {
   stolen_items,        // work-stealing: tasks actually migrated
   push_cas_failures,   // centralized: slot CASes lost to a racing pusher
   pop_cas_failures,    // centralized: claim CASes lost to a racing popper
-  slot_loads,          // centralized: window slot pointers read by pop scans
+  slot_loads,          // centralized: window slot state words read by pop scans
   summary_loads,       // centralized: occupancy summary words read by pops
   tree_descents,       // centralized: hierarchical min-index descents
   min_heals,           // centralized: stale min-index nodes healed by CAS

@@ -5,7 +5,7 @@
 // try_lock-only thieves, lock-free claims); what they cannot see is a
 // *system-level* stall — every place spinning on pops that always lose,
 // an overload regime where shedding churns without completing work, or a
-// stalled place wedging everyone behind an epoch pin.  The watchdog
+// stalled place wedging everyone behind a lock it holds.  The watchdog
 // samples an externally supplied progress vector (in this repo: each
 // place's tasks_executed + tasks_spawned from the StatsRegistry, so the
 // hot path pays nothing it was not already paying) every `period` and

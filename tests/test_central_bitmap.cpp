@@ -9,14 +9,29 @@
 // pushed (no loss, no duplication).  A lost task would also hang the SSSP
 // termination counter, so this is the structure-level version of that
 // guarantee.  Runs small and large windows (small windows force
-// overflow-heap traffic through the same descent).
+// overflow-heap traffic through the same descent).  A replaced global
+// operator new also proves the window's push/pop cycle allocates nothing.
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
+
+// Every plain operator new in this binary bumps one tally.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 // Overflow-race seam (see centralized_kpq.hpp): when armed, both
 // poppers rendezvous here AFTER snapshotting overflow_min_ and BEFORE
@@ -207,6 +222,36 @@ void overflow_recheck_race() {
       static_cast<unsigned long long>(stale_seen), rounds);
 }
 
+// The window holds its tasks in its slots: once the storage is built and
+// warmed up, push/pop cycles that stay inside the window (lifecycle off)
+// must not allocate at all.
+void window_cycles_allocate_nothing() {
+  constexpr int k = 256;
+  StorageConfig cfg;
+  cfg.k_max = k;
+  cfg.default_k = k;
+  StatsRegistry stats(1);
+  CentralizedKpq<TestTask> storage(1, cfg, &stats);
+  auto& place = storage.place(0);
+  Xoshiro256 rng(3);
+  for (std::uint64_t i = 0; i < k / 2; ++i) {
+    kps::push(storage, place, k, {rng.next_unit(), i});
+  }
+  const std::uint64_t before = g_allocs.load();
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    kps::push(storage, place, k, {rng.next_unit(), i});
+    const bool popped = storage.pop(place).has_value();
+    assert(popped);
+  }
+  const std::uint64_t allocs = g_allocs.load() - before;
+  if (allocs != 0) {
+    std::fprintf(stderr, "window push/pop allocated %llu times\n",
+                 static_cast<unsigned long long>(allocs));
+    assert(false);
+  }
+  std::printf("  window push/pop: 0 allocations in 10000 cycles\n");
+}
+
 }  // namespace
 
 int main() {
@@ -216,6 +261,7 @@ int main() {
   churn(1, 2, 5000);      // degenerate 1-slot window
   counter_split_empty();
   overflow_recheck_race();
+  window_cycles_allocate_nothing();
   std::printf("test_central_bitmap: OK\n");
   return 0;
 }

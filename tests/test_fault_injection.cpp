@@ -15,9 +15,10 @@
 //   * Centralized rank bound: with push/claim/min-index seams armed, a
 //     pop never bypasses more than k better tasks (the §4.1.1 guarantee
 //     fault injection is supposed to stress, not suspend).
-//   * Epoch stall: a place parked *while pinned* (stall seam inside
-//     pin()) blocks epoch advance — no deleter may run — and reclamation
-//     resumes once the stall is released.
+//   * Claimer stall: a centralized pop parked between its claim CAS and
+//     freeing the slot wedges nobody else — concurrent pushes and pops
+//     complete, no push reuses the parked slot, and the ledger balances
+//     once the claimer is released.
 //   * Bounded capacity: global_pq's shed-lowest is exact (the survivors
 //     are precisely the best C tasks, every shed task is worse than every
 //     survivor), reject counts rejections, and SSSP under a tight
@@ -40,7 +41,6 @@
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
 #include "graph/sssp.hpp"
-#include "support/epoch.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
 #include "workloads/des.hpp"
@@ -68,10 +68,9 @@ const std::vector<StorageSeams> kCatalog = {
     {"global_pq", {"global.push.lock", "global.pop.lock"}},
     {"centralized",
      {"central.push.slot_cas", "central.push.overflow",
-      "central.pop.pinned", "central.pop.overflow",
-      "central.pop.claim_cas", "central.heal.clear_bit",
-      "minindex.note_min", "minindex.heal", "epoch.advance",
-      "epoch.collect"}},
+      "central.pop.overflow", "central.pop.claim_cas",
+      "central.pop.claimed", "central.heal.clear_bit",
+      "minindex.note_min", "minindex.heal"}},
     {"hybrid",
      {"hybrid.publish.attempt", "hybrid.publish.flush",
       "hybrid.inbox.append", "hybrid.inbox.fold", "hybrid.spy",
@@ -326,8 +325,8 @@ const char* injection_spec(const std::string& storage) {
     return "central.push.slot_cas=fail:p=0.3,"
            "central.pop.claim_cas=fail:p=0.3,"
            "central.heal.clear_bit=yield:p=0.2,"
-           "minindex.note_min=fail:p=0.5,minindex.heal=delay:iters=32,"
-           "epoch.advance=fail:p=0.5,epoch.collect=delay:iters=32:p=0.2";
+           "central.pop.claimed=delay:iters=32:p=0.2,"
+           "minindex.note_min=fail:p=0.5,minindex.heal=delay:iters=32";
   }
   if (storage == "hybrid") {
     // A failed inbox append forces the full-ring fallback (publisher
@@ -429,49 +428,77 @@ void test_rank_bound_under_injection() {
               pops);
 }
 
-// --------------------------------------------------------- epoch stall
-// A place that stalls WHILE PINNED (the stall seam sits after pin()'s
-// announcement fence) must wedge the epoch at its pin value + 1; no
-// retirement from the pinned epoch may be freed until the stall releases.
+// ------------------------------------------------------- claimer stall
+// A claimer parked between its claim CAS and freeing the slot holds that
+// one slot CLAIMED.  Nobody else may wait on it: two places push past a
+// full window and pop to completion meanwhile.  No push may reuse the
+// parked slot — a reuse would overwrite the entry the claimer has yet to
+// copy, so it would return the wrong task and lose its own — and once
+// the claimer is released every task departs exactly once.
 
-void test_epoch_stall_blocks_reclamation() {
+void test_claimer_stall_parks_one_slot() {
   if (!fp::enabled()) {
-    std::printf("  epoch stall: skipped (failpoints compiled out)\n");
+    std::printf("  claimer stall: skipped (failpoints compiled out)\n");
     return;
   }
-  EpochDomain dom;
+  constexpr int k = 8;
+  constexpr std::uint32_t kPerPlace = 400;
+  StatsRegistry stats(3);
+  auto storage = build("centralized", 3, k, 41, stats);
+  const bool first = storage.try_push(storage.place(0), k, {0.5, 0}).accepted;
+  assert(first);
+
   fp::Policy stall;
   stall.action = fp::Action::stall;
-  stall.count = 1;  // only the victim's pin parks; ours sail through
-  fp::site("epoch.pin").arm(stall);
+  stall.count = 1;  // only the victim's claim parks; later ones sail through
+  auto& seam = fp::site("central.pop.claimed");
+  seam.arm(stall);
+  std::optional<SsspTask> parked;
+  std::thread victim([&] { parked = storage.pop(storage.place(0)); });
+  while (seam.stalled() == 0) std::this_thread::yield();
 
-  std::thread victim([&] {
-    EpochThread t = dom.register_thread();
-    t.pin();  // parks inside the seam, pinned
-    t.unpin();
-  });
-  while (fp::site("epoch.pin").stalled() == 0) std::this_thread::yield();
+  // Ids 1.. pushed by places 1 and 2; every pop result lands in `out`.
+  std::vector<std::uint32_t> out[2];
+  auto churn = [&](std::size_t t) {
+    auto& place = storage.place(t + 1);
+    Xoshiro256 rng(41 + t);
+    for (std::uint32_t i = 0; i < kPerPlace; ++i) {
+      const auto id = static_cast<std::uint32_t>(1 + t * kPerPlace + i);
+      const bool accepted =
+          storage.try_push(place, k, {rng.next_unit(), id}).accepted;
+      assert(accepted);
+      if (i % 2 == 1) {
+        if (auto popped = storage.pop(place)) {
+          out[t].push_back(popped->payload);
+        }
+      }
+    }
+  };
+  std::thread a(churn, 0), b(churn, 1);
+  a.join();
+  b.join();
+  assert(seam.stalled() == 1 && "the parked claimer was released early");
+  assert(!out[0].empty() && !out[1].empty());
 
-  std::atomic<int> freed{0};
-  {
-    EpochThread c = dom.register_thread();
-    c.retire(&freed, [](void* p) {
-      static_cast<std::atomic<int>*>(p)->fetch_add(1,
-                                                   std::memory_order_relaxed);
-    });
-    // The victim is pinned at epoch e: collect can advance to e+1 once,
-    // then never again, and e+3 is out of reach — the deleter must not run.
-    for (int i = 0; i < 10; ++i) c.collect();
-    assert(freed.load() == 0 && "reclaimed under a live pin");
-    assert(fp::site("epoch.pin").stalled() == 1);
+  seam.disarm();  // release the victim
+  victim.join();
+  assert(parked && parked->payload == 0 && parked->priority == 0.5 &&
+         "a push overwrote the parked slot");
 
-    fp::site("epoch.pin").disarm();  // release the victim
-    victim.join();
-    for (int i = 0; i < 6 && freed.load() == 0; ++i) c.collect();
-    assert(freed.load() == 1 && "reclamation did not resume after release");
+  std::vector<std::uint32_t> seen(out[0]);
+  seen.insert(seen.end(), out[1].begin(), out[1].end());
+  seen.push_back(parked->payload);
+  while (auto popped = storage.pop(storage.place(0))) {
+    seen.push_back(popped->payload);
   }
-  std::printf("  epoch: stalled pin blocks reclamation, release resumes "
-              "it\n");
+  std::sort(seen.begin(), seen.end());
+  assert(seen.size() == 1 + 2 * kPerPlace);
+  for (std::uint32_t i = 0; i < seen.size(); ++i) assert(seen[i] == i);
+  const PlaceStats totals = stats.total();
+  assert(totals.get(Counter::tasks_spawned) ==
+         totals.get(Counter::tasks_executed));
+  std::printf("  claimer stall: parks one slot, others run, ledger "
+              "balances\n");
 }
 
 // ---------------------------------------------------- bounded capacity
@@ -625,7 +652,7 @@ int main() {
   test_bounded_capacity_exact_shed();
   test_sssp_terminates_under_capacity();
   test_rank_bound_under_injection();
-  test_epoch_stall_blocks_reclamation();
+  test_claimer_stall_parks_one_slot();
   test_sssp_oracle_under_injection();
   test_des_oracle_under_injection();
   test_seeded_schedules();

@@ -8,9 +8,10 @@
 //     storage at P in {1, 4, 8}, every admitted task id departs exactly
 //     once — popped, shed, or cancelled — and the counter ledger
 //     balances: spawned == executed + shed + cancelled, with every
-//     tombstone reaped by the final drain.  The centralized rows double
-//     as epoch stress: cancelled window entries retire through the epoch
-//     domain while concurrent pops scan them.
+//     tombstone reaped by the final drain.  The centralized rows claim
+//     cancelled window slots while concurrent pops scan them.
+//   * Steal accounting: a heap steal-half whose loot is all tombstones
+//     reaps them and counts no steal.
 //   * Capacity gate after reaps (P = 1, reject): fill to capacity, cancel
 //     every third task, drain, and the refill admits exactly capacity
 //     tasks again.
@@ -46,6 +47,7 @@
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
 #include "support/timer_wheel.hpp"
+#include "support/trace.hpp"
 #include "workloads/bnb.hpp"
 #include "workloads/des.hpp"
 
@@ -331,6 +333,36 @@ void test_capacity_released_after_reaps() {
               "6 storages\n");
 }
 
+// Steal accounting: a ws_priority steal-half whose loot holds only
+// tombstones reaps them and steals nothing — no stolen_items, no steal
+// event — the verdict a single steal or a ws_deque steal gives a dead
+// victim.
+void test_tombstone_loot_is_no_steal() {
+  Tracer trace(2, 64);
+  StorageConfig extra;
+  extra.trace = &trace;
+  StatsRegistry stats(2);
+  auto storage = build("ws_priority", 2, 8, 7, stats, extra);
+  auto& victim = storage.place(1);
+  std::vector<TaskHandle> handles;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    handles.push_back(storage.try_push(victim, 8, {double(i), i}).handle);
+  }
+  for (const TaskHandle h : handles) {
+    const bool cancelled = storage.cancel(victim, h);
+    assert(cancelled);
+  }
+  assert(!storage.pop(storage.place(0)));  // steals tombstone loot
+  const PlaceStats thief = stats.snapshot(0);
+  assert(thief.get(Counter::steal_attempts) == 1);
+  assert(thief.get(Counter::tombstones_reaped) > 0);
+  assert(thief.get(Counter::stolen_items) == 0);
+  for (const TraceRecord& r : trace.drain()) {
+    assert(r.event != static_cast<std::uint16_t>(TraceEv::steal));
+  }
+  std::printf("  tombstone-only steal-half loot counts no steal\n");
+}
+
 // --------------------------------------------------- P = 1 exactness
 
 void test_exactness_with_cancellation() {
@@ -603,6 +635,7 @@ int main() {
   test_conservation_ledger();
   test_conservation_bounded();
   test_capacity_released_after_reaps();
+  test_tombstone_loot_is_no_steal();
   test_exactness_with_cancellation();
   test_bnb_speculative_exact();
   test_timer_wheel_unit();
